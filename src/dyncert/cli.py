@@ -18,7 +18,6 @@ import numpy as np
 from . import models, phasespace, protocol, simulate, spectra
 from .classical import energy_window, trapping_times
 from .errors import DomainError, DyncertError
-from .numerics import RealGrid
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -131,7 +130,7 @@ def cached_slice(model, window, cache_dir, check=False):
     return slc
 
 
-def _state_for(args, model, cache_dir):
+def _state_for(args, model):
     """Resolve --state psi6 | psi4 | file:PATH into a QuantumState."""
     spec_str = args.state
     if spec_str in ("psi6", "psi4"):
@@ -193,6 +192,8 @@ def cmd_bounds(args):
 
 
 def _tau_grid(args):
+    if args.tau_points < 1:
+        raise DomainError("--tau-points must be positive")
     if args.tau_min is not None and args.tau_max is not None:
         return np.linspace(args.tau_min, args.tau_max, args.tau_points)
     if args.tau is not None:
@@ -215,10 +216,14 @@ def cmd_score(args):
         grid = _tau_grid(args)
         policy = args.window_policy
         window = None
-        if policy == "fixed":
+        if policy == "fixed" and args.nmax is None:
             base_tau = args.tau if args.tau is not None else float(grid[0])
             window = energy_window(model, base_tau)
-        points = run_scan(model, grid, policy, window, args.workers)
+        points = run_scan(model, grid, policy, window, args.workers,
+                          args.nmax)
+        if all(p.error for p in points):
+            raise DyncertError(f"all {len(points)} scan points failed; "
+                               f"first: {points[0].error}")
         _emit(protocol.scan_to_csv(points), args.output)
         return 0
     if args.tau is None:
@@ -234,19 +239,20 @@ def cmd_score(args):
     return 0
 
 
-def run_scan(model, tau_grid, policy, window, workers):
+def run_scan(model, tau_grid, policy, window, workers, n_hat):
     """Scan a tau grid, optionally in parallel; order fixed by the grid."""
     if workers is None:
         workers = os.cpu_count() or 1
+
+    def scan(taus):
+        return protocol.scan_tau(model, taus, window_policy=policy,
+                                 window=window, n_hat=n_hat)
+
     if workers <= 1 or len(tau_grid) < 4:
-        return protocol.scan_tau(model, tau_grid, window_policy=policy,
-                                 window=window)
+        return scan(tau_grid)
     chunks = np.array_split(np.asarray(tau_grid), workers)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(
-            lambda taus: protocol.scan_tau(model, taus, window_policy=policy,
-                                           window=window),
-            [c for c in chunks if c.size]))
+        parts = list(ex.map(scan, [c for c in chunks if c.size]))
     return [p for part in parts for p in part]
 
 
@@ -256,7 +262,7 @@ def cmd_simulate(args):
         raise DomainError("--rounds must be positive")
     if args.tau is None:
         raise DomainError("simulate requires --tau")
-    state = _state_for(args, model, _cache_dir(args))
+    state = _state_for(args, model)
     estimate = simulate.run_protocol(state, args.tau, args.rounds, args.seed,
                                      workers=args.workers or 1)
     _emit(estimate.to_json(), args.output)
@@ -271,7 +277,7 @@ def cmd_wigner(args):
         raise DomainError("pendulum states need --angular")
     if model.kind != models.PENDULUM and args.angular:
         raise DomainError("--angular applies only to the pendulum")
-    state = _state_for(args, model, _cache_dir(args))
+    state = _state_for(args, model)
     out_dir = Path(args.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.angular:
@@ -305,8 +311,8 @@ def cmd_make_figures(args):
         ("harmonic-score", "data.json",
          ["score", "--model", "harmonic", "--tau", "1", "--nmax", "6"]),
         ("harmonic-scan", "data.csv",
-         ["score", "--model", "harmonic", "--scan", "--tau-min", "0.75",
-          "--tau-max", "1.5", "--tau-points", "31"]),
+         ["score", "--model", "harmonic", "--scan", "--nmax", "6",
+          "--tau-min", "0.75", "--tau-max", "1.5", "--tau-points", "31"]),
         ("well-scan", "data.csv",
          ["score", "--model", "well", "--scan", "--tau-min", "0.1",
           "--tau-max", "1.0", "--tau-points", "31"]),

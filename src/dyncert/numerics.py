@@ -217,21 +217,26 @@ class MathieuSolution:
         return base + 2 * np.arange(len(self.coeffs))
 
     def value(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        """f(u); a scalar for scalar u, else an array shaped like u."""
+        u = np.asarray(u, dtype=float)
         s = self._strides()
-        basis = np.cos(np.outer(u, s)) if self.parity == "even" else np.sin(np.outer(u, s))
-        out = _compensated_dot(basis, self.coeffs)
-        return out if out.size > 1 else float(out[0])
+        phase = np.outer(u, s)
+        basis = np.cos(phase) if self.parity == "even" else np.sin(phase)
+        return _shaped(_compensated_dot(basis, self.coeffs), u.shape)
 
     def derivative(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        """f'(u); a scalar for scalar u, else an array shaped like u."""
+        u = np.asarray(u, dtype=float)
         s = self._strides()
         if self.parity == "even":
             basis = -np.sin(np.outer(u, s)) * s
         else:
             basis = np.cos(np.outer(u, s)) * s
-        out = _compensated_dot(basis, self.coeffs)
-        return out if out.size > 1 else float(out[0])
+        return _shaped(_compensated_dot(basis, self.coeffs), u.shape)
+
+
+def _shaped(flat, shape):
+    return float(flat[0]) if shape == () else flat.reshape(shape)
 
 
 def _compensated_dot(basis, coeffs):

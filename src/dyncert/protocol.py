@@ -14,15 +14,16 @@ from math import pi, sqrt
 import numpy as np
 
 from . import models, spectra
-from .classical import EnergyWindow, energy_window
-from .errors import DomainError, DyncertError
+from .classical import TAU_HI, TAU_LO, EnergyWindow, energy_window
+from .errors import DomainError, DyncertError, NumericalInstabilityError
 from .numerics import (DENSE_EIG_LIMIT, HermitianMatrix, HermitianOperator,
                        hermitian_max_eigenpair)
 
 THETA4 = 0.215 * pi
 
-# Admissible probing range shared by the approximately harmonic models.
-TAU_SEARCH_LO, TAU_SEARCH_HI = 0.75, 1.5
+# Q3 is a convex mix of projectors, so its spectrum lies in [0, 1]; a
+# value beyond round-off of that range means a broken slice
+SCORE_RANGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def max_score(slc, tau, window=None):
         value, vector = hermitian_max_eigenpair(_q3_operator(slc, tau))
     vector = vector / np.linalg.norm(vector)
     state = QuantumState(slc, vector)
-    return ScoreResult(float(np.clip(value, 0.0, 1.0)), state, tau, window)
+    return ScoreResult(_in_unit_range(value), state, tau, window)
 
 
 def score_state(state, tau):
@@ -127,7 +128,17 @@ def score_state(state, tau):
         val = np.vdot(v, q @ v).real
     else:
         val = np.vdot(v, _q3_operator(slc, tau).matvec(v)).real
-    return float(np.clip(val, 0.0, 1.0))
+    return _in_unit_range(val)
+
+
+def _in_unit_range(value):
+    """A Q3 expectation value, clipped into [0, 1] only within round-off."""
+    value = float(value)
+    if not -SCORE_RANGE_TOL <= value <= 1.0 + SCORE_RANGE_TOL:
+        raise NumericalInstabilityError(
+            f"Q3 value {value!r} lies outside [0, 1] beyond round-off; "
+            "the spectrum slice is inconsistent")
+    return min(max(value, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,25 +187,30 @@ class ScanPoint:
 
 
 def scan_tau(model, tau_grid, window_policy="from_tau", window=None,
-             check=False):
+             check=False, n_hat=None):
     """Maximum quantum score across a grid of probing ratios.
 
     ``window_policy='from_tau'`` recomputes the model's energy window at
     each grid point; ``'fixed'`` reuses the supplied window (and hence a
-    single slice). Per-point failures are recorded on the returned points
-    instead of aborting the scan.
+    single slice). With ``n_hat`` every point scores the fixed truncation
+    of the n_hat+1 lowest levels instead, and no window applies. Per-point
+    failures are recorded on the returned points instead of aborting the
+    scan.
     """
     if window_policy not in ("from_tau", "fixed"):
         raise DomainError(f"unknown window policy {window_policy!r}")
-    if window_policy == "fixed":
+    fixed = None
+    if n_hat is not None:
+        fixed = None, truncated_slice(model, n_hat, check=check)
+    elif window_policy == "fixed":
         if window is None:
             raise DomainError("fixed window policy requires a window")
-        fixed_slice = spectra.spectrum_slice(model, window, check=check)
+        fixed = window, spectra.spectrum_slice(model, window, check=check)
     points = []
     slice_cache = {}
     for tau in tau_grid:
         try:
-            if window_policy == "from_tau":
+            if fixed is None:
                 win = energy_window(model, tau)
                 key = (win.e_min, win.e_max)
                 if key not in slice_cache:
@@ -202,7 +218,7 @@ def scan_tau(model, tau_grid, window_policy="from_tau", window=None,
                                                               check=check)
                 slc = slice_cache[key]
             else:
-                win, slc = window, fixed_slice
+                win, slc = fixed
             result = max_score(slc, tau, window=win)
             points.append(ScanPoint(float(tau), result.p3_max))
         except DyncertError as exc:
@@ -229,7 +245,7 @@ def truncated_slice(model, n_hat, check=True):
         es = spectra.kerr_energy(alpha, ns)
     elif kind == models.PENDULUM:
         ns = np.arange(0, n_hat + 1)
-        es = np.array([spectra.pendulum_energy(model, int(n)) for n in ns])
+        es = spectra.pendulum_energy(model, ns)
     elif kind == models.MORSE:
         if n_hat + 1 > spectra.morse_level_count(model.lambda_morse):
             raise DomainError("truncation exceeds the number of bound states")
@@ -264,8 +280,7 @@ def _golden_max(f, lo, hi, tol=1e-6):
     return x, f(x)
 
 
-def maximize_over_tau(f, lo=TAU_SEARCH_LO, hi=TAU_SEARCH_HI, tol=1e-6,
-                      n_starts=8):
+def maximize_over_tau(f, lo=TAU_LO, hi=TAU_HI, tol=1e-6, n_starts=8):
     """Multi-start golden-section search (guards against non-concavity)."""
     edges = np.linspace(lo, hi, n_starts + 1)
     best = (None, -np.inf)

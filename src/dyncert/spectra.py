@@ -8,6 +8,7 @@ the sgn matrix is real symmetric.
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi, sqrt, log, exp, lgamma, isinf, floor, ceil
@@ -49,30 +50,44 @@ def morse_level_count(lam):
     return int(floor(lam - 0.5)) + 1
 
 
+# One Mathieu solve per pendulum alpha, shared by every caller; the lock
+# keeps scan threads from solving the same alpha twice.
 _MATHIEU_CACHE = {}
+_MATHIEU_LOCK = threading.Lock()
+_SEPARATRIX_MARGIN = 4
 
 
-def _pendulum_solutions(model, n_levels):
-    """Mathieu solutions for pendulum levels 0..n_levels-1 (cached)."""
-    q = models.pendulum_q_parameter(model)
-    key = (model.alpha, n_levels)
-    if key not in _MATHIEU_CACHE:
-        sols = mathieu_eigensystem(q, n_levels + 1)
-        table = {(s.parity, s.order): s for s in sols}
-        picked = []
-        for n in range(n_levels):
-            if n % 2 == 0:
-                picked.append(table[("even", n)])
-            else:
-                picked.append(table[("odd", n + 1)])
-        _MATHIEU_CACHE[key] = picked
-    return _MATHIEU_CACHE[key]
+def _pendulum_solutions(model, n_levels=1):
+    """Mathieu solutions of pendulum levels 0, 1, ..., at least n_levels.
+
+    The first solve for an alpha covers every level below the separatrix
+    E = 1/(8|alpha|), semiclassically ceil(1/(pi |alpha|)) levels, plus a
+    margin. A request for more doubles the count and solves again but keeps
+    the levels already held, so each level always comes from the same solve,
+    whatever was asked before.
+    """
+    alpha = model.alpha
+    with _MATHIEU_LOCK:
+        sols = _MATHIEU_CACHE.get(alpha, ())
+        while len(sols) < n_levels:
+            count = (2 * len(sols) if sols
+                     else ceil(1.0 / (pi * abs(alpha))) + _SEPARATRIX_MARGIN)
+            table = {(s.parity, s.order): s for s in mathieu_eigensystem(
+                models.pendulum_q_parameter(model), count - 1)}
+            sols += tuple(table[("even", n)] if n % 2 == 0
+                          else table[("odd", n + 1)]
+                          for n in range(len(sols), count))
+        _MATHIEU_CACHE[alpha] = sols
+    return sols
 
 
 def pendulum_energy(model, n):
-    """E_n = |alpha| * (Mathieu characteristic value of level n)."""
-    sols = _pendulum_solutions(model, n + 1)
-    return abs(model.alpha) * sols[n].char_value
+    """E_n = |alpha| * (Mathieu characteristic value of level n); n may be
+    an array of levels."""
+    n = np.asarray(n, dtype=int)
+    sols = _pendulum_solutions(model, int(n.max(initial=0)) + 1)
+    chars = np.array([s.char_value for s in sols])
+    return abs(model.alpha) * chars[n]
 
 
 def levels(model, window):
@@ -107,19 +122,16 @@ def levels(model, window):
         ns, es = ns[keep], es[keep]
 
     elif kind == models.PENDULUM:
-        ns_list, es_list = [], []
-        n = 0
-        while True:
-            e = pendulum_energy(model, n)
-            if e > e_max:
-                break
-            if e >= e_min:
-                ns_list.append(n)
-                es_list.append(e)
-            n += 1
-            if n > 10000:
+        # energies increase with n: hold levels until one lies above e_max
+        n_held = len(_pendulum_solutions(model))
+        while pendulum_energy(model, n_held - 1) <= e_max:
+            if n_held > 10000:
                 raise DomainError("pendulum window admits too many levels")
-        ns, es = np.array(ns_list, dtype=int), np.array(es_list)
+            n_held = len(_pendulum_solutions(model, 2 * n_held))
+        ns = np.arange(n_held)
+        es = pendulum_energy(model, ns)
+        keep = (es >= e_min) & (es <= e_max)
+        ns, es = ns[keep], es[keep]
 
     elif kind == models.MORSE:
         lam = model.lambda_morse
@@ -192,8 +204,8 @@ def eigenfunction(model, n, q):
         if not -pi < phi <= pi + 1e-15:
             raise DomainError("pendulum angle must lie in (-pi, pi]")
         sol = _pendulum_solutions(model, n + 1)[n]
-        u = 0.5 * phi
-        return sol.value(u) / sqrt(pi), 0.5 * sol.derivative(u) / sqrt(pi)
+        return (float(eigenfunction_grid(model, n, phi)),
+                0.5 * sol.derivative(0.5 * phi) / sqrt(pi))
 
     if kind == models.MORSE:
         lam = model.lambda_morse
@@ -233,7 +245,7 @@ def eigenfunction_grid(model, n, qs):
         return psi
     if kind == models.PENDULUM:
         sol = _pendulum_solutions(model, n + 1)[n]
-        return np.array([sol.value(0.5 * phi) for phi in qs]) / sqrt(pi)
+        return np.asarray(sol.value(0.5 * qs)) / sqrt(pi)
     if kind == models.MORSE:
         return _morse_value(model.lambda_morse, n, qs)
     w = n * pi
@@ -316,25 +328,24 @@ def _harmonic_sgn(indices):
 
 
 def _pendulum_sgn(model, indices, energies):
-    a = abs(model.alpha)
-    sols = _pendulum_solutions(model, int(max(indices)) + 1)
-    dim = len(indices)
+    """4|alpha| W(ce_n, se_m) / (pi (E_n - E_m)) between even n and odd m,
+    with the Wronskian W taken between u = 0 and u = pi/2."""
+    ns = np.asarray(indices, dtype=int)
+    es = np.asarray(energies, dtype=float)
+    dim = len(ns)
     s = np.zeros((dim, dim))
-    for i in range(dim):
-        n = int(indices[i])
-        if n % 2 == 1:
-            continue
-        for j in range(dim):
-            m = int(indices[j])
-            if m % 2 == 0:
-                continue
-            ce = sols[n]
-            se = sols[m]
-            w = (ce.value(0.5 * pi) * se.derivative(0.5 * pi)
-                 - ce.value(0.0) * se.derivative(0.0))
-            val = 4.0 * a * w / (pi * (energies[i] - energies[j]))
-            s[i, j] = val
-            s[j, i] = val
+    ei = np.flatnonzero(ns % 2 == 0)
+    oi = np.flatnonzero(ns % 2 == 1)
+    if len(ei) == 0 or len(oi) == 0:
+        return s
+    sols = _pendulum_solutions(model, int(ns.max()) + 1)
+    ends = np.array([0.0, 0.5 * pi])
+    ce = np.array([sols[n].value(ends) for n in ns[ei]])
+    se_d = np.array([sols[m].derivative(ends) for m in ns[oi]])
+    w = np.outer(ce[:, 1], se_d[:, 1]) - np.outer(ce[:, 0], se_d[:, 0])
+    block = 4.0 * abs(model.alpha) * w / (pi * (es[ei, None] - es[None, oi]))
+    s[np.ix_(ei, oi)] = block
+    s[np.ix_(oi, ei)] = block.T
     return s
 
 
@@ -480,9 +491,8 @@ def sgn_matrix(model, indices, energies=None, check=True):
         s = _harmonic_sgn(indices)
     elif kind == models.PENDULUM:
         if energies is None:
-            energies = np.array([pendulum_energy(model, int(n))
-                                 for n in indices])
-        s = _pendulum_sgn(model, indices, np.asarray(energies, dtype=float))
+            energies = pendulum_energy(model, indices)
+        s = _pendulum_sgn(model, indices, energies)
     elif kind == models.MORSE:
         s = _morse_sgn(model, indices)
     else:

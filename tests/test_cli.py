@@ -1,6 +1,9 @@
 """CLI behavior: dispatch, exit codes, caching, config precedence."""
 
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +65,31 @@ class TestScore:
         lines = out.strip().splitlines()
         assert lines[0] == "tau,p3_max,error"
         assert len(lines) == 4
+
+    def test_scan_honours_nmax(self, capsys):
+        code, out, _ = run(capsys, "score", "--model", "harmonic", "--scan",
+                           "--nmax", "6", "--tau-min", "0.9", "--tau-max",
+                           "1.1", "--tau-points", "5", "--workers", "2")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5
+        assert all(r["error"] == "" and math.isfinite(float(r["p3_max"]))
+                   for r in rows)
+
+    def test_scan_all_points_failed_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "score", "--model", "harmonic",
+                             "--scan", "--tau-min", "0.9", "--tau-max", "1.1",
+                             "--tau-points", "3", "--output", str(target))
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "DyncertError"
+        assert not target.exists()
+
+    def test_empty_scan_exit_2(self, capsys):
+        code, _, _ = run(capsys, "score", "--model", "well", "--scan",
+                         "--tau-min", "0.3", "--tau-max", "0.5",
+                         "--tau-points", "0")
+        assert code == 2
 
     def test_missing_tau_exit_2(self, capsys):
         code, _, err = run(capsys, "score", "--model", "harmonic")
@@ -143,11 +171,26 @@ class TestCacheAndConfig:
         assert code == 2
 
 
+@pytest.fixture(scope="class")
+def figures(tmp_path_factory):
+    root = tmp_path_factory.mktemp("figures")
+    return main(["make-figures", "--output", str(root)]), root
+
+
 class TestMakeFigures:
-    def test_generates_tree(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "make-figures", "--output", str(tmp_path))
+    def test_generates_tree(self, figures):
+        code, root = figures
         assert code == 0
-        assert (tmp_path / "harmonic-score" / "data.json").exists()
-        assert (tmp_path / "well-scan" / "data.csv").exists()
-        assert (tmp_path / "psi6-wigner" / "wigner.csv").exists()
-        assert (tmp_path / "pendulum-wigner" / "wigner.csv").exists()
+        assert (root / "harmonic-score" / "data.json").exists()
+        assert (root / "well-scan" / "data.csv").exists()
+        assert (root / "psi6-wigner" / "wigner.csv").exists()
+        assert (root / "pendulum-wigner" / "wigner.csv").exists()
+
+    def test_no_nan_rows(self, figures):
+        code, root = figures
+        assert code == 0
+        paths = sorted(root.rglob("*.csv"))
+        assert any(p.parent.name == "harmonic-scan" for p in paths)
+        for path in paths:
+            for row in csv.reader(io.StringIO(path.read_text())):
+                assert "nan" not in [cell.lower() for cell in row], path

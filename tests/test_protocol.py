@@ -1,5 +1,6 @@
 """Q3 assembly, score maximization, tau scans, scenario comparisons."""
 
+import dataclasses
 import json
 from math import sqrt
 
@@ -8,7 +9,7 @@ import pytest
 
 from dyncert import models, protocol
 from dyncert.classical import energy_window
-from dyncert.errors import DomainError
+from dyncert.errors import DomainError, NumericalInstabilityError
 
 
 class TestQuantumState:
@@ -60,6 +61,23 @@ class TestMaxScore:
         r = protocol.max_score(harmonic_slice6, 1.0)
         assert abs(protocol.score_state(r.state, 1.0) - r.p3_max) < 1e-12
 
+    def test_corrupted_sgn_raises(self, harmonic_slice6):
+        # symmetric, zero diagonal and entries in [-1, 1], so the slice
+        # accepts it; its spectrum (6 and -1) puts Q3 outside [0, 1]
+        bad = dataclasses.replace(harmonic_slice6,
+                                  sgn=np.ones((7, 7)) - np.eye(7))
+        with pytest.raises(NumericalInstabilityError):
+            protocol.max_score(bad, 1.0)
+        state = protocol.QuantumState(bad, np.full(7, 1.0 / sqrt(7.0)))
+        with pytest.raises(NumericalInstabilityError):
+            protocol.score_state(state, 1.0)
+
+    def test_round_off_clipped(self):
+        assert protocol._in_unit_range(1.0 + 5e-13) == 1.0
+        assert protocol._in_unit_range(-5e-13) == 0.0
+        with pytest.raises(NumericalInstabilityError):
+            protocol._in_unit_range(float("nan"))
+
     def test_score_at_least_half_for_even_models(self, harmonic_slice6):
         for tau in (0.8, 1.0, 1.3):
             assert protocol.max_score(harmonic_slice6, tau).p3_max \
@@ -98,6 +116,11 @@ class TestScan:
                                 window_policy="fixed", window=w)
         assert all(p.error is None for p in pts)
         assert abs(pts[1].p3_max - 0.6969) < 1e-3
+
+    def test_fixed_truncation(self):
+        pts = protocol.scan_tau(models.harmonic(), [0.9, 1.0], n_hat=6)
+        assert all(p.error is None for p in pts)
+        assert abs(pts[1].p3_max - 0.687) < 1e-3
 
     def test_csv(self):
         pts = protocol.scan_tau(models.infinite_well(), [0.4])

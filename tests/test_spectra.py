@@ -1,6 +1,9 @@
 """Spectra: energies, eigenfunctions, sgn matrix elements vs oracles."""
 
+import concurrent.futures
 import json
+import sys
+import threading
 from fractions import Fraction
 from math import pi, sqrt
 
@@ -10,7 +13,7 @@ import pytest
 import scipy.integrate as spi
 import scipy.special as sps
 
-from dyncert import models, spectra
+from dyncert import models, protocol, spectra
 from dyncert.classical import EnergyWindow, energy_window
 from dyncert.errors import DomainError, EmptySliceError
 from conftest import sgn_overlap_oracle
@@ -214,3 +217,90 @@ class TestSpectrumSlice:
             spectra.SpectrumSlice(models.harmonic(), (0, 1),
                                   np.array([0.5, 1.5]),
                                   np.array([[0.0, 2.0], [2.0, 0.0]]))
+
+
+@pytest.fixture
+def counted_mathieu(monkeypatch):
+    """Empty the pendulum Mathieu cache and count the solves behind it."""
+    calls = []
+    solve = spectra.mathieu_eigensystem
+
+    def counting(q_param, n_max):
+        calls.append((q_param, n_max))
+        return solve(q_param, n_max)
+
+    monkeypatch.setattr(spectra, "mathieu_eigensystem", counting)
+    monkeypatch.setattr(spectra, "_MATHIEU_CACHE", {})
+    return calls
+
+
+class TestPendulumMathieu:
+    def test_grid_matches_pointwise_value(self):
+        mdl = models.pendulum(-0.02)
+        sol = spectra._pendulum_solutions(mdl, 6)[5]
+        qs = np.linspace(-np.pi, np.pi, 2048)
+        ref = np.array([sol.value(0.5 * phi) for phi in qs]) / sqrt(pi)
+        got = spectra.eigenfunction_grid(mdl, 5, qs)
+        assert got.shape == qs.shape
+        assert np.array_equal(got, ref)
+        point = spectra.eigenfunction_grid(mdl, 5, np.array(0.3))
+        assert point.shape == ()
+        assert point == sol.value(0.15) / sqrt(pi)
+
+    def test_sgn_matches_pointwise_wronskian(self):
+        mdl = models.pendulum(-0.05)
+        idx = np.arange(9)
+        es = spectra.pendulum_energy(mdl, idx)
+        sols = spectra._pendulum_solutions(mdl, len(idx))
+        ref = np.zeros((len(idx), len(idx)))
+        for n in idx[::2]:
+            for m in idx[1::2]:
+                w = (sols[n].value(0.5 * pi) * sols[m].derivative(0.5 * pi)
+                     - sols[n].value(0.0) * sols[m].derivative(0.0))
+                ref[n, m] = ref[m, n] = (4.0 * abs(mdl.alpha) * w
+                                         / (pi * (es[n] - es[m])))
+        got = spectra.sgn_matrix(mdl, idx, energies=es, check=False)
+        assert np.array_equal(got, ref)
+
+    def test_one_solve_per_model(self, counted_mathieu):
+        mdl = models.pendulum(-0.005)
+        spectra.levels(mdl, energy_window(mdl, 1.0))
+        protocol.truncated_slice(mdl, 40, check=False)
+        spectra.eigenfunction_grid(mdl, 7, np.linspace(-1.0, 1.0, 11))
+        spectra.pendulum_energy(mdl, 60)
+        assert len(counted_mathieu) == 1
+
+    def test_same_bytes_after_larger_truncation(self, counted_mathieu):
+        mdl = models.pendulum(-0.02)
+        window = energy_window(mdl, 1.0)
+
+        def slice_bytes():
+            slc = spectra.spectrum_slice(mdl, window, check=False)
+            return json.dumps(slc.to_json_dict())
+
+        cold = slice_bytes()
+        spectra._MATHIEU_CACHE.clear()
+        # n_hat = 28 reaches past the first solve's 20 levels; from n_hat =
+        # 30 on, rotational pairs split by less than an ulp of their energy
+        protocol.truncated_slice(mdl, 28, check=False)
+        assert slice_bytes() == cold
+        assert len(counted_mathieu) == 3  # cold, then base and grown solves
+
+    def test_threads_share_one_solve(self, counted_mathieu):
+        mdl = models.pendulum(-0.01)
+        start = threading.Barrier(8)
+
+        def fill():
+            start.wait(timeout=30)
+            return spectra._pendulum_solutions(mdl, 20)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(fill) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(counted_mathieu) == 1
+        assert all(r is results[0] for r in results)
