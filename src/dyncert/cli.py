@@ -60,32 +60,27 @@ def read_config_file(path):
     return values
 
 
-def _merge_config(args, parser):
-    """Fill flags the user left at their defaults from the config file."""
+def _merge_config(args, argv, parser, commands):
+    """Re-parse argv with the config file's values as the subcommand's
+    defaults, so explicit flags still win and argparse applies each
+    flag's type to the file's strings."""
     if not getattr(args, "config", None):
         return args
-    file_values = read_config_file(args.config)
-    actions = {}
-    for sub_action in parser._actions:
-        if isinstance(sub_action, argparse._SubParsersAction):
-            sub = sub_action.choices.get(args.command)
-            if sub is not None:
-                actions.update({a.dest: a for a in sub._actions})
-    for key, raw in file_values.items():
+    sub = commands[args.command]
+    defaults = {}
+    for key, raw in read_config_file(args.config).items():
         if key == "lambda":
             key = "lambda_"
-        if key not in vars(args) or key not in actions:
+        if key in ("command", "func") or key not in vars(args):
             raise DomainError(f"unknown config key {key!r}")
-        action = actions[key]
-        if getattr(args, key) == action.default:
-            if isinstance(action.default, bool):
-                value = raw.lower() in ("1", "true", "yes")
-            elif action.type is not None:
-                value = action.type(raw)
-            else:
-                value = raw
-            setattr(args, key, value)
-    return args
+        if isinstance(sub.get_default(key), bool):
+            raw = raw.lower() in ("1", "true", "yes")
+        defaults[key] = raw
+    sub.set_defaults(**defaults)
+    try:
+        return parser.parse_args(argv)
+    except SystemExit:
+        raise DomainError(f"bad value in config file {args.config}") from None
 
 
 def build_model(args):
@@ -357,6 +352,7 @@ def _add_common(p):
 
 
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="dyncert",
         description="Dynamics-based quantumness certification")
@@ -396,17 +392,17 @@ def build_parser():
     p = subs.add_parser("make-figures", help="regenerate all figure data")
     _add_common(p)
     p.set_defaults(func=cmd_make_figures)
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(args, argv, parser, commands)
         return args.func(args)
     except (DomainError, ValueError, OSError) as exc:
         sys.stderr.write(_error_json(exc) + "\n")

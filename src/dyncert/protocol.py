@@ -92,18 +92,21 @@ def build_q3(slc, tau):
 
 
 def _q3_operator(slc, tau):
-    """Matrix-free Q3 for truncations too large to build densely."""
-    s = np.asarray(slc.sgn)
-    d1, d2 = _phase_vectors(slc.energies, tau)
+    """Matrix-free Q3 = I/2 + (1/6) sum_k D_k S D_k^dagger (k = 0, 1, 2).
 
-    def apply_s(v):
-        return s @ v.real + 1j * (s @ v.imag)
+    The three rotated vectors D_k^dagger v sit as the complex columns of
+    one (n, 3) block, whose real view is (n, 6), so S acts on all six
+    real columns in one matrix product.
+    """
+    s = np.asarray(slc.sgn, dtype=float)
+    d1, d2 = _phase_vectors(slc.energies, tau)
+    rot = np.stack([np.ones_like(d1), d1, d2], axis=1)
+    unrot = rot.conj()
 
     def matvec(v):
-        acc = 0.5 * v + apply_s(v) / 6.0
-        acc += d1 * apply_s(d1.conj() * v) / 6.0
-        acc += d2 * apply_s(d2.conj() * v) / 6.0
-        return acc
+        block = unrot * v[:, None]
+        sv = (s @ block.view(float)).view(complex)
+        return 0.5 * v + np.sum(rot * sv, axis=1) / 6.0
 
     return HermitianOperator(slc.dim, matvec, norm_bound=1.0)
 

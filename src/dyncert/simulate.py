@@ -6,8 +6,6 @@ position measurement from the resulting density by inverse-CDF on a
 grid, and scores whether the position came out positive.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -188,29 +186,6 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
         var *= n_rounds / (n_rounds - 1)
     stderr = sqrt(var / n_rounds)
     return McEstimate(mean, stderr, n_rounds, seed)
-
-
-def rounds_to_csv(state, tau, n_rounds, seed):
-    """Per-round audit CSV (round, k, q, score) replaying run_protocol."""
-    samplers = _cdf_samplers(state, tau)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["round", "k", "q", "score"])
-    done = 0
-    chunk = 0
-    while done < n_rounds:
-        m = min(CHUNK_ROUNDS, n_rounds - done)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
-        ks = rng.integers(0, 3, size=m)
-        us = rng.random(size=m)
-        for i in range(m):
-            q = float(sample_positions(samplers[ks[i]], us[i]))
-            writer.writerow([done + i, int(ks[i]), f"{q!r}",
-                             f"{float(pos(q))!r}"])
-        done += m
-        chunk += 1
-    return buf.getvalue()
 
 
 def deterministic_score(state, tau, n_points=40001):

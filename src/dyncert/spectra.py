@@ -332,6 +332,14 @@ def _pendulum_sgn(model, indices, energies):
     with the Wronskian W taken between u = 0 and u = pi/2."""
     ns = np.asarray(indices, dtype=int)
     es = np.asarray(energies, dtype=float)
+    flat = np.flatnonzero(np.diff(es) <= 0.0)
+    if len(flat):
+        i = flat[0]
+        raise DomainError(
+            f"pendulum levels {ns[i]} and {ns[i + 1]} (E = {float(es[i])!r}, "
+            f"{float(es[i + 1])!r}) are not strictly increasing: they lie "
+            f"past the separatrix E = {model.energy_range()[1]!r}, where "
+            "rotational pairs are degenerate to round-off; use fewer levels")
     dim = len(ns)
     s = np.zeros((dim, dim))
     ei = np.flatnonzero(ns % 2 == 0)

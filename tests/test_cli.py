@@ -170,6 +170,14 @@ class TestCacheAndConfig:
         code, _, err = run(capsys, "score", "--config", str(cfg), "--tau", "1")
         assert code == 2
 
+    def test_bad_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("model = harmonic\ntau = one\nnmax = 6\n")
+        code, out, err = run(capsys, "score", "--config", str(cfg))
+        assert code == 2 and out == ""
+        error = json.loads(err.splitlines()[-1])["error"]
+        assert error["type"] == "DomainError"
+
 
 @pytest.fixture(scope="class")
 def figures(tmp_path_factory):

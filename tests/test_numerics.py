@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from dyncert.errors import DomainError
-from dyncert.numerics import (HermitianMatrix, HermitianOperator, RealGrid,
+from dyncert.errors import ConvergenceError, DomainError
+from dyncert.numerics import (DENSE_EIG_LIMIT, HermitianMatrix,
+                              HermitianOperator, RealGrid,
                               elliptic_K, elliptic_K_inverse,
                               hermitian_max_eigenpair, laguerre,
                               mathieu_eigensystem, quad_inverse_sqrt,
@@ -121,6 +122,12 @@ class TestQuadInverseSqrt:
         assert abs(val - pi) < 1e-8
 
 
+def _random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
+
+
 class TestHermitianEig:
     def test_matches_numpy_dense(self):
         rng = np.random.default_rng(1)
@@ -140,6 +147,68 @@ class TestHermitianEig:
         val, vec = hermitian_max_eigenpair(op)
         ref = np.linalg.eigvalsh(h)[-1]
         assert abs(val - ref) < 1e-7 * ref
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 150])
+    def test_lanczos_matches_eigvalsh(self, dim):
+        h = _random_hermitian(dim, seed=dim)
+        norm = np.linalg.norm(h, 2)
+        ref = np.linalg.eigvalsh(h)[-1]
+        op = HermitianOperator(dim, lambda v: h @ v, norm_bound=norm)
+        val, vec = hermitian_max_eigenpair(op)
+        assert abs(val - ref) < 1e-12 * norm
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        assert np.linalg.norm(h @ vec - val * vec) <= 1e-10 * norm
+
+    def test_matrix_above_limit_takes_lanczos(self):
+        # same matvec and Frobenius bound as the matrix path: same bits
+        dim = DENSE_EIG_LIMIT + 22
+        h = _random_hermitian(dim, seed=5)
+        val, vec = hermitian_max_eigenpair(HermitianMatrix(h))
+        op_val, op_vec = hermitian_max_eigenpair(HermitianOperator(
+            dim, lambda v: h @ v, norm_bound=np.linalg.norm(h, "fro")))
+        assert val == op_val and np.array_equal(vec, op_vec)
+        assert abs(val - np.linalg.eigvalsh(h)[-1]) < 1e-12 * abs(val)
+
+    def test_top_below_a_larger_negative_eigenvalue(self):
+        # power iteration would lock onto -5; Lanczos needs no PSD shift
+        q, _ = np.linalg.qr(_random_hermitian(40, seed=6))
+        eigs = np.linspace(-5.0, 1.0, 40)
+        h = (q * eigs) @ q.conj().T
+        op = HermitianOperator(40, lambda v: h @ v, norm_bound=5.0)
+        val, _ = hermitian_max_eigenpair(op)
+        assert abs(val - 1.0) < 1e-12
+
+    def test_invariant_subspace_breakdown(self):
+        # three distinct eigenvalues: the Krylov space closes after three
+        # vectors (beta = 0 to round-off) and the top Ritz pair is exact
+        q, _ = np.linalg.qr(_random_hermitian(50, seed=7))
+        eigs = np.repeat([-1.0, 0.25, 2.0], [20, 20, 10])
+        h = (q * eigs) @ q.conj().T
+        calls = []
+        val, vec = hermitian_max_eigenpair(HermitianOperator(
+            50, lambda v: calls.append(1) or h @ v, norm_bound=2.0))
+        assert len(calls) == 4  # three Krylov vectors plus the check
+        assert abs(val - 2.0) < 1e-12
+        assert np.linalg.norm(h @ vec - val * vec) <= 2e-10
+        val, _ = hermitian_max_eigenpair(HermitianOperator(
+            5, lambda v: 3.0 * v, norm_bound=3.0))
+        assert val == pytest.approx(3.0, abs=1e-14)
+
+    def test_krylov_budget_raises_with_residual(self):
+        h = _random_hermitian(200, seed=8)
+        op = HermitianOperator(200, lambda v: h @ v,
+                               norm_bound=np.linalg.norm(h, 2))
+        with pytest.raises(ConvergenceError) as info:
+            hermitian_max_eigenpair(op, max_krylov=4)
+        assert np.isfinite(info.value.residual)
+        assert info.value.residual > 1e-10 * op.norm_bound
+
+    def test_bit_identical_reruns(self):
+        h = _random_hermitian(180, seed=9)
+        op = HermitianOperator(180, lambda v: h @ v, norm_bound=50.0)
+        lam1, v1 = hermitian_max_eigenpair(op)
+        lam2, v2 = hermitian_max_eigenpair(op)
+        assert lam1 == lam2 and np.array_equal(v1, v2)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):

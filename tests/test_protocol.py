@@ -10,6 +10,7 @@ import pytest
 from dyncert import models, protocol
 from dyncert.classical import energy_window
 from dyncert.errors import DomainError, NumericalInstabilityError
+from dyncert.numerics import DENSE_EIG_LIMIT, hermitian_max_eigenpair
 
 
 class TestQuantumState:
@@ -56,6 +57,34 @@ class TestMaxScore:
         op = protocol._q3_operator(harmonic_slice6, 1.0)
         val, _ = hermitian_max_eigenpair(op)
         assert abs(val - dense) < 1e-9
+
+    @pytest.mark.parametrize("mdl,n_hat", [
+        (models.harmonic(), 40), (models.kerr(0.02), 20),
+        (models.pendulum(-0.02), 20), (models.morse(8.0), 6),
+        (models.infinite_well(), 30)])
+    def test_packed_matvec_matches_dense(self, mdl, n_hat):
+        slc = protocol.truncated_slice(mdl, n_hat, check=False)
+        rng = np.random.default_rng(n_hat)
+        for tau in (0.75, 1.0, 1.3):
+            v = np.array([1.0, 1j]) @ rng.standard_normal((2, slc.dim))
+            got = protocol._q3_operator(slc, tau).matvec(v)
+            ref = protocol.build_q3(slc, tau).entries @ v
+            assert np.max(np.abs(got - ref)) < 1e-13
+
+    def test_degenerate_top_at_boundary_taus(self):
+        # at tau = 3/4 and 3/2 the harmonic top eigenvalue 2/3 is ~93-fold
+        # degenerate at n_hat = 200; Lanczos still stops early on it
+        slc = protocol.truncated_slice(models.harmonic(), 200, check=False)
+        assert slc.dim > DENSE_EIG_LIMIT
+        for tau in (0.75, 1.5):
+            op = protocol._q3_operator(slc, tau)
+            calls = []
+            matvec = op.matvec
+            op.matvec = lambda v: calls.append(1) or matvec(v)
+            val, _ = hermitian_max_eigenpair(op)
+            assert abs(val - 2.0 / 3.0) < 1e-9
+            assert len(calls) < 40
+            assert abs(protocol.max_score(slc, tau).p3_max - 2.0 / 3.0) < 1e-9
 
     def test_score_state_consistent(self, harmonic_slice6):
         r = protocol.max_score(harmonic_slice6, 1.0)

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from math import pi, sqrt
 
@@ -285,6 +286,16 @@ class TestPendulumMathieu:
         protocol.truncated_slice(mdl, 28, check=False)
         assert slice_bytes() == cold
         assert len(counted_mathieu) == 3  # cold, then base and grown solves
+
+    def test_truncation_past_separatrix_names_the_pair(self):
+        mdl = models.pendulum(-0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert protocol.truncated_slice(mdl, 28, check=False).dim == 29
+            for n_hat in (30, 32, 40):
+                with pytest.raises(DomainError, match=r"levels 29 and 30 .*"
+                                   r"past the separatrix E = 6\.25"):
+                    protocol.truncated_slice(mdl, n_hat, check=False)
 
     def test_threads_share_one_solve(self, counted_mathieu):
         mdl = models.pendulum(-0.01)
