@@ -5,7 +5,7 @@ Times are in units of 2*pi/omega0 and energies in hbar*omega0 throughout.
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt, acos, acosh, cos, sin, inf, isinf
+from math import pi, sqrt, acos, acosh, inf, isinf
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class EnergyWindow:
         if not self.e_min <= self.e_max:
             raise EmptyWindowError(
                 f"empty window: e_min={self.e_min} > e_max={self.e_max}")
-
-    def contains(self, e):
-        return self.e_min <= e <= self.e_max
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +257,7 @@ _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 _YOSHIDA_C = np.array([_YOSHIDA_W1 / 2, (_YOSHIDA_W0 + _YOSHIDA_W1) / 2,
                        (_YOSHIDA_W0 + _YOSHIDA_W1) / 2, _YOSHIDA_W1 / 2])
 _YOSHIDA_D = np.array([_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1])
+_YOSHIDA_STEPS_PER_UNIT = 2048  # per time unit 2*pi/omega0
 
 
 def _yoshida4(q, p, inv_mass, force, s_total, n_steps):
@@ -309,94 +307,55 @@ def _morse_force_and_mass(model):
     return force, lam
 
 
-def _well_position(q0, p0, t):
-    """Exact free flight with specular wall reflections, L = 1."""
-    x = np.asarray(q0, dtype=float) + np.asarray(p0, dtype=float) * t
-    # fold onto [-1/2, 3/2) then reflect the upper half
-    y = np.mod(x + 0.5, 2.0)
-    return np.where(y <= 1.0, y - 0.5, 1.5 - y)
+def _flow(model, q0, p0, times):
+    """Yield (q, p) of a batch of initial states at each of ``times`` in turn.
 
-
-def _positions_at(model, q0, p0, times, n_steps_per_unit=2048):
-    """Positions q(t) for a batch of initial states at each listed time.
-
-    ``times`` must be sorted ascending; returns array (len(times), batch).
+    Harmonic/Kerr precess exactly and the well reflects exactly off its
+    walls (L = 1); pendulum and Morse step a fourth-order symplectic
+    integrator from the previous time (backwards if it is earlier) at a
+    fixed step count per time unit.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     kind = model.kind
-    out = np.empty((len(times), len(q0)))
 
     if kind in (models.HARMONIC, models.KERR):
         h0 = 0.5 * (q0 * q0 + p0 * p0)
         omega = 1.0 if kind == models.HARMONIC else 1.0 + model.alpha * h0
-        for i, t in enumerate(times):
+        for t in times:
             phase = 2.0 * pi * omega * t
-            out[i] = q0 * np.cos(phase) + p0 * np.sin(phase)
-        return out
+            c, s = np.cos(phase), np.sin(phase)
+            yield q0 * c + p0 * s, -q0 * s + p0 * c
+        return
 
     if kind == models.WELL:
-        for i, t in enumerate(times):
-            out[i] = _well_position(q0, p0, t)
-        return out
+        if not np.all((q0 >= -0.5) & (q0 <= 0.5)):
+            raise DomainError("well position outside [-1/2, 1/2]")
+        for t in times:
+            # fold onto [-1/2, 3/2) then reflect the upper half
+            y = np.mod(q0 + p0 * t + 0.5, 2.0)
+            below = y <= 1.0
+            yield np.where(below, y - 0.5, 1.5 - y), np.where(below, p0, -p0)
+        return
 
     force, mass = (_pendulum_force_and_mass(model) if kind == models.PENDULUM
                    else _morse_force_and_mass(model))
     q, p = q0, p0
     prev_t = 0.0
-    for i, t in enumerate(times):
+    for t in times:
         dt = t - prev_t
-        if dt > 0:
-            s = 2.0 * pi * dt
-            n = max(8, int(np.ceil(n_steps_per_unit * dt)))
-            q, p = _yoshida4(q, p, 1.0 / mass, force, s, n)
-        if kind == models.PENDULUM:
-            out[i] = np.mod(q + pi, 2.0 * pi) - pi
-        else:
-            out[i] = q
+        if dt != 0:
+            n = max(8, int(np.ceil(_YOSHIDA_STEPS_PER_UNIT * abs(dt))))
+            q, p = _yoshida4(q, p, 1.0 / mass, force, 2.0 * pi * dt, n)
         prev_t = t
-    return out
+        yield (np.mod(q + pi, 2.0 * pi) - pi if kind == models.PENDULUM
+               else q), p
 
 
-def integrate_trajectory(model, q0, p0, t, drift_tol=1e-9):
-    """(q, p) after time t (units 2*pi/omega0).
-
-    Harmonic/Kerr precess exactly; the well uses exact wall reflections;
-    pendulum and Morse use a fourth-order symplectic integrator whose step
-    is refined until the relative energy drift is below ``drift_tol``.
-    """
-    kind = model.kind
-    if kind in (models.HARMONIC, models.KERR):
-        h0 = 0.5 * (q0 * q0 + p0 * p0)
-        omega = 1.0 if kind == models.HARMONIC else 1.0 + model.alpha * h0
-        phase = 2.0 * pi * omega * t
-        return (q0 * cos(phase) + p0 * sin(phase),
-                -q0 * sin(phase) + p0 * cos(phase))
-    if kind == models.WELL:
-        if not -0.5 <= q0 <= 0.5:
-            raise DomainError("well position outside [-1/2, 1/2]")
-        x = q0 + p0 * t
-        y = (x + 0.5) % 2.0
-        if y <= 1.0:
-            return y - 0.5, p0
-        return 1.5 - y, -p0
-
-    force, mass = (_pendulum_force_and_mass(model) if kind == models.PENDULUM
-                   else _morse_force_and_mass(model))
-    e0 = float(hamiltonian_value(model, q0, p0))
-    scale = max(abs(e0), 1.0)
-    n = max(64, int(abs(t) * 512))
-    while True:
-        q, p = _yoshida4(np.array([q0]), np.array([p0]), 1.0 / mass, force,
-                         2.0 * pi * t, n)
-        drift = abs(float(hamiltonian_value(model, q[0], p[0])) - e0) / scale
-        if drift <= drift_tol or n > 2 ** 22:
-            break
-        n *= 2
-    q_out = float(q[0])
-    if kind == models.PENDULUM:
-        q_out = (q_out + pi) % (2.0 * pi) - pi
-    return q_out, float(p[0])
+def integrate_trajectory(model, q0, p0, t):
+    """(q, p) after time t (units 2*pi/omega0): one sample of ``_flow``."""
+    q, p = next(_flow(model, q0, p0, [t]))
+    return float(q[0]), float(p[0])
 
 
 def morse_bound_position(model, e, t):
@@ -485,9 +444,8 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
         if len(q) == 0:
             raise EmptyWindowError("rejection sampler found no states in the window")
         score = pos(q)
-        qs = _positions_at(model, q, p, times)
-        for row in qs:
-            score = score + pos(row)
+        for q_t, _ in _flow(model, q, p, times):
+            score = score + pos(q_t)
         best = max(best, float(np.max(score)) / 3.0)
         remaining -= n
     return best

@@ -7,7 +7,6 @@ overrides built-in defaults. Exit codes: 0 success, 2 usage error,
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -214,8 +213,8 @@ def cmd_score(args):
         if policy == "fixed" and args.nmax is None:
             base_tau = args.tau if args.tau is not None else float(grid[0])
             window = energy_window(model, base_tau)
-        points = run_scan(model, grid, policy, window, args.workers,
-                          args.nmax)
+        points = protocol.scan_tau(model, grid, window_policy=policy,
+                                   window=window, n_hat=args.nmax)
         if all(p.error for p in points):
             raise DyncertError(f"all {len(points)} scan points failed; "
                                f"first: {points[0].error}")
@@ -232,23 +231,6 @@ def cmd_score(args):
         result = protocol.max_score(slc, args.tau, window=window)
     _emit(json.dumps(result.to_json_dict(), indent=2), args.output)
     return 0
-
-
-def run_scan(model, tau_grid, policy, window, workers, n_hat):
-    """Scan a tau grid, optionally in parallel; order fixed by the grid."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-
-    def scan(taus):
-        return protocol.scan_tau(model, taus, window_policy=policy,
-                                 window=window, n_hat=n_hat)
-
-    if workers <= 1 or len(tau_grid) < 4:
-        return scan(tau_grid)
-    chunks = np.array_split(np.asarray(tau_grid), workers)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(scan, [c for c in chunks if c.size]))
-    return [p for part in parts for p in part]
 
 
 def cmd_simulate(args):
@@ -348,7 +330,6 @@ def _add_common(p):
     p.add_argument("--cache", help="slice cache directory "
                    "(or DYNCERT_CACHE_DIR)")
     p.add_argument("--output", help="output path (default stdout)")
-    p.add_argument("--workers", type=int)
 
 
 def build_parser():
@@ -380,6 +361,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--state", default="psi6")
     p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("wigner", help="Wigner grid and marginals")

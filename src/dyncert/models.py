@@ -84,9 +84,6 @@ class ModelSystem:
             return f"morse(lambda={self.lambda_morse})"
         return self.kind
 
-    def cache_key(self):
-        return self.describe()
-
 
 def harmonic():
     return ModelSystem(HARMONIC)

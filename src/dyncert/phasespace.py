@@ -57,9 +57,6 @@ class WignerGrid:
             return self.values.sum(axis=1)
         return np.trapezoid(self.values, self.p_axis, axis=1)
 
-    def marginal_p(self):
-        return np.trapezoid(self.values, self.q_axis, axis=0)
-
 
 def _psi_at(state, pts):
     """Synthesized wavefunction at arbitrary points (zero outside a box)."""

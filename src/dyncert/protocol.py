@@ -240,23 +240,10 @@ def scan_to_csv(points):
 
 
 def truncated_slice(model, n_hat, check=True):
-    """SpectrumSlice for the fixed truncation of the n_hat+1 lowest levels."""
-    kind = model.kind
-    if kind in (models.HARMONIC, models.KERR):
-        alpha = 0.0 if kind == models.HARMONIC else model.alpha
-        ns = np.arange(0, n_hat + 1)
-        es = spectra.kerr_energy(alpha, ns)
-    elif kind == models.PENDULUM:
-        ns = np.arange(0, n_hat + 1)
-        es = spectra.pendulum_energy(model, ns)
-    elif kind == models.MORSE:
-        if n_hat + 1 > spectra.morse_level_count(model.lambda_morse):
-            raise DomainError("truncation exceeds the number of bound states")
-        ns = np.arange(0, n_hat + 1)
-        es = spectra.morse_energy(model.lambda_morse, ns)
-    else:
-        ns = np.arange(1, n_hat + 1)
-        es = (ns / 2.0) ** 2
+    """SpectrumSlice for the fixed truncation of the n_hat+1 lowest levels
+    (levels 1..n_hat for the well, whose ground state is n = 1)."""
+    ns = np.arange(1 if model.kind == models.WELL else 0, n_hat + 1)
+    es = spectra.level_energies(model, ns)
     s = spectra.sgn_matrix(model, ns, energies=es, check=check)
     return spectra.SpectrumSlice(model, tuple(int(n) for n in ns), es, s)
 

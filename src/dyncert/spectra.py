@@ -51,7 +51,7 @@ def morse_level_count(lam):
 
 
 # One Mathieu solve per pendulum alpha, shared by every caller; the lock
-# keeps scan threads from solving the same alpha twice.
+# keeps concurrent callers from solving the same alpha twice.
 _MATHIEU_CACHE = {}
 _MATHIEU_LOCK = threading.Lock()
 _SEPARATRIX_MARGIN = 4
@@ -90,6 +90,42 @@ def pendulum_energy(model, n):
     return abs(model.alpha) * chars[n]
 
 
+def level_energies(model, ns):
+    """Energies of the levels with indices ``ns`` (an array of ints).
+
+    Raises DomainError for a Morse level that is not bound and, for Kerr
+    with alpha < 0, for a level past the H0 <= 1/|alpha| cap, beyond which
+    E_n decreases with n.
+    """
+    ns = np.asarray(ns, dtype=int)
+    n_top = int(ns.max(initial=0))
+    kind = model.kind
+    if kind == models.HARMONIC:
+        return kerr_energy(0.0, ns)
+    if kind == models.KERR:
+        if model.alpha < 0 and n_top > _kerr_top_level(model.alpha):
+            raise DomainError(
+                f"Kerr level {_kerr_top_level(model.alpha) + 1} lies past the "
+                f"cap H0 <= 1/|alpha| = {1.0 / abs(model.alpha)!r}, where "
+                "the energies stop increasing; use fewer levels")
+        return kerr_energy(model.alpha, ns)
+    if kind == models.PENDULUM:
+        return pendulum_energy(model, ns)
+    if kind == models.MORSE:
+        count = morse_level_count(model.lambda_morse)
+        if n_top >= count:
+            raise DomainError(
+                f"Morse level {n_top} is not bound: {model.describe()} holds "
+                f"levels 0..{count - 1}")
+        return morse_energy(model.lambda_morse, ns)
+    return (ns / 2.0) ** 2
+
+
+def _kerr_top_level(alpha):
+    """Highest Kerr level, for alpha < 0, on the branch H0 <= 1/|alpha|."""
+    return int(floor(1.0 / abs(alpha) - 0.5))
+
+
 def levels(model, window):
     """Level indices and energies falling inside the window.
 
@@ -113,14 +149,8 @@ def levels(model, window):
             nu_hi = (sqrt(max(disc, 0.0)) - 1.0) / alpha
             n_hi = int(floor(nu_hi - 0.5 + 1e-12))
         else:
-            # secondary assumption H0 <= 1/|alpha|: stay on the branch
-            # where E_n increases with n
-            n_hi = int(floor(1.0 / abs(alpha) - 0.5))
+            n_hi = _kerr_top_level(alpha)
         ns = np.arange(0, max(n_hi, -1) + 1)
-        es = kerr_energy(alpha, ns)
-        keep = (es >= e_min) & (es <= e_max)
-        ns, es = ns[keep], es[keep]
-
     elif kind == models.PENDULUM:
         # energies increase with n: hold levels until one lies above e_max
         n_held = len(_pendulum_solutions(model))
@@ -129,26 +159,19 @@ def levels(model, window):
                 raise DomainError("pendulum window admits too many levels")
             n_held = len(_pendulum_solutions(model, 2 * n_held))
         ns = np.arange(n_held)
-        es = pendulum_energy(model, ns)
-        keep = (es >= e_min) & (es <= e_max)
-        ns, es = ns[keep], es[keep]
-
     elif kind == models.MORSE:
-        lam = model.lambda_morse
-        ns = np.arange(morse_level_count(lam))
-        es = morse_energy(lam, ns)
-        keep = (es >= e_min) & (es <= e_max)
-        ns, es = ns[keep], es[keep]
-
-    else:  # infinite well, strict truncation
+        ns = np.arange(morse_level_count(model.lambda_morse))
+    else:  # infinite well
         if isinf(e_max):
             raise DomainError("well window must be bounded above")
-        n_hi = int(ceil(2.0 * sqrt(e_max)))
-        ns = np.arange(1, n_hi + 1)
-        es = (ns / 2.0) ** 2
-        keep = (es > e_min) & (es < e_max)
-        ns, es = ns[keep], es[keep]
+        ns = np.arange(1, int(ceil(2.0 * sqrt(e_max))) + 1)
 
+    es = level_energies(model, ns)
+    if kind == models.WELL:  # strict truncation
+        keep = (es > e_min) & (es < e_max)
+    else:
+        keep = (es >= e_min) & (es <= e_max)
+    ns, es = ns[keep], es[keep]
     if len(ns) == 0:
         raise EmptySliceError(
             f"no {model.describe()} level lies in [{e_min}, {e_max}]")
@@ -441,46 +464,31 @@ def _well_sgn(indices):
     return np.where(opposite, vals, 0.0)
 
 
-def sgn_quadrature(model, n, m, n_points=40001):
-    """Direct quadrature of <n|sgn(Q)|m> as an independent cross-check."""
+def _quadrature_domain(model, n, m):
+    """Integration limits (lo, hi), lo < 0 < hi, holding <n|sgn(Q)|m>."""
     kind = model.kind
     if kind in (models.HARMONIC, models.KERR):
         x_max = sqrt(2.0 * (max(n, m) + 0.5)) + 10.0
-        xs = np.linspace(0.0, x_max, n_points)
-        f = eigenfunction_grid(model, n, xs) * eigenfunction_grid(model, m, xs)
-        plus = np.trapezoid(f, xs)
-        minus = plus if n != m else None  # even potential: mirror
-        xs_neg = -xs[::-1]
-        fneg = (eigenfunction_grid(model, n, xs_neg)
-                * eigenfunction_grid(model, m, xs_neg))
-        minus = np.trapezoid(fneg, xs_neg)
-        return plus - minus
+        return -x_max, x_max
     if kind == models.PENDULUM:
-        xs = np.linspace(0.0, pi, n_points)
-        f = eigenfunction_grid(model, n, xs) * eigenfunction_grid(model, m, xs)
-        plus = np.trapezoid(f, xs)
-        xs_neg = np.linspace(-pi, 0.0, n_points)
-        fneg = (eigenfunction_grid(model, n, xs_neg)
-                * eigenfunction_grid(model, m, xs_neg))
-        return plus - np.trapezoid(fneg, xs_neg)
+        return -pi, pi
     if kind == models.MORSE:
         lam = model.lambda_morse
         x_hi = log(1.0 + sqrt(2.0 * max(morse_energy(lam, n), 1.0) / lam)) + 3.0
         x_lo = -(40.0 + 10.0 * sqrt(lam)) / min(lam, 40.0) - 10.0
-        xs = np.linspace(0.0, x_hi, n_points)
-        f = eigenfunction_grid(model, n, xs) * eigenfunction_grid(model, m, xs)
-        plus = np.trapezoid(f, xs)
-        xs_neg = np.linspace(x_lo, 0.0, n_points)
-        fneg = (eigenfunction_grid(model, n, xs_neg)
-                * eigenfunction_grid(model, m, xs_neg))
-        return plus - np.trapezoid(fneg, xs_neg)
-    xs = np.linspace(0.0, 0.5, n_points)
-    f = eigenfunction_grid(model, n, xs) * eigenfunction_grid(model, m, xs)
-    plus = np.trapezoid(f, xs)
-    xs_neg = np.linspace(-0.5, 0.0, n_points)
-    fneg = (eigenfunction_grid(model, n, xs_neg)
-            * eigenfunction_grid(model, m, xs_neg))
-    return plus - np.trapezoid(fneg, xs_neg)
+        return x_lo, x_hi
+    return -0.5, 0.5
+
+
+def sgn_quadrature(model, n, m, n_points=40001):
+    """Direct quadrature of <n|sgn(Q)|m> as an independent cross-check."""
+    lo, hi = _quadrature_domain(model, n, m)
+    plus, minus = (
+        np.trapezoid(eigenfunction_grid(model, n, xs)
+                     * eigenfunction_grid(model, m, xs), xs)
+        for xs in (np.linspace(0.0, hi, n_points),
+                   np.linspace(lo, 0.0, n_points)))
+    return plus - minus
 
 
 _CHECK_INDEX_CAP = 300  # quadrature oracle is reliable below this index

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from dyncert import models
+from dyncert import classical, models
 from dyncert.classical import (EnergyWindow, classical_score_oracle,
                                energy_window, hamiltonian_value,
                                integrate_trajectory, morse_bound_position,
@@ -156,6 +156,24 @@ class TestTrajectories:
             q, p = integrate_trajectory(mdl, q0, p0, float(t))
             assert abs(q) <= np.pi + 1e-12
             assert abs(hamiltonian_value(mdl, q, p) - e0) < 1e-8 * abs(e0)
+
+    @pytest.mark.parametrize("mdl,q0,p0", [
+        (models.pendulum(-0.05), 1.2, 0.3),
+        (models.morse(8.0), 0.3, 0.2),
+        (models.kerr(-0.1), 1.0, -0.4),
+        (models.infinite_well(), 0.25, 1.7),
+    ])
+    def test_scalar_is_one_sample_of_the_batch(self, mdl, q0, p0):
+        rng = np.random.default_rng(3)
+        qs = np.concatenate([rng.uniform(-0.5, 0.5, 4), [q0]])
+        ps = np.concatenate([rng.uniform(-1.0, 1.0, 4), [p0]])
+        for t in (0.0, 0.4, 1.3):
+            (q, p), = classical._flow(mdl, qs, ps, [t])
+            assert integrate_trajectory(mdl, q0, p0, t) == (q[-1], p[-1])
+
+    def test_well_rejects_position_outside(self):
+        with pytest.raises(DomainError):
+            integrate_trajectory(models.infinite_well(), 0.6, 1.0, 0.1)
 
     def test_morse_matches_closed_form(self):
         mdl = models.morse(8.0)

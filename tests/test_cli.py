@@ -60,7 +60,7 @@ class TestScore:
     def test_scan_csv(self, capsys):
         code, out, _ = run(capsys, "score", "--model", "well", "--scan",
                            "--tau-min", "0.3", "--tau-max", "0.5",
-                           "--tau-points", "3", "--workers", "2")
+                           "--tau-points", "3")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "tau,p3_max,error"
@@ -69,7 +69,7 @@ class TestScore:
     def test_scan_honours_nmax(self, capsys):
         code, out, _ = run(capsys, "score", "--model", "harmonic", "--scan",
                            "--nmax", "6", "--tau-min", "0.9", "--tau-max",
-                           "1.1", "--tau-points", "5", "--workers", "2")
+                           "1.1", "--tau-points", "5")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 5

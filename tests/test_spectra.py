@@ -47,6 +47,19 @@ class TestEnergies:
                    else sps.mathieu_b(order, q)) * abs(mdl.alpha)
             assert abs(spectra.pendulum_energy(mdl, n) - ref) < 1e-10
 
+    def test_kerr_truncation_past_cap_names_the_level(self):
+        # alpha = -0.002: the H0 <= 1/|alpha| cap keeps levels 0..499
+        mdl = models.kerr(-0.002)
+        assert protocol.truncated_slice(mdl, 499, check=False).dim == 500
+        with pytest.raises(DomainError, match=r"Kerr level 500 lies past"):
+            protocol.truncated_slice(mdl, 500, check=False)
+
+    def test_morse_truncation_past_bound_states(self):
+        mdl = models.morse(8.0)  # bound levels 0..7
+        assert protocol.truncated_slice(mdl, 7, check=False).dim == 8
+        with pytest.raises(DomainError, match=r"Morse level 8 is not bound"):
+            protocol.truncated_slice(mdl, 8, check=False)
+
     def test_well_truncation_strict(self):
         w = energy_window(models.infinite_well(), 1.0)
         ns, _ = spectra.levels(models.infinite_well(), w)
