@@ -402,7 +402,6 @@ def _sampling_box(model, window):
         return (-pi, pi), (-p_max, p_max), e_hi
     if kind == models.MORSE:
         lam = model.lambda_morse
-        de = 0.5 * lam
         # q_hi solves V = e_hi on the steep side; open side capped at q = -10
         q_hi = np.log(1.0 + sqrt(min(e_hi / de, 4.0)))
         p_max = sqrt(2.0 * lam * e_hi)

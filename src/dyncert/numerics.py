@@ -38,31 +38,6 @@ class RealGrid:
         return float(np.trapezoid(self.values, self.points))
 
 
-HERMITICITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Dense Hermitian matrix with its invariants checked at construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DomainError("entries must be a nonempty square matrix")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
-            raise DomainError("matrix is not Hermitian to within 1e-12")
-        if np.max(np.abs(np.diag(m).imag)) > HERMITICITY_TOL * scale:
-            raise DomainError("diagonal has imaginary parts above 1e-12")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # complete elliptic integral of the first kind
 # ---------------------------------------------------------------------------
@@ -443,7 +418,7 @@ def quad_inverse_sqrt(f, a, b, rel_tol=1e-10, panel_budget=20000):
 
 
 # ---------------------------------------------------------------------------
-# largest eigenpair of a Hermitian matrix / operator
+# largest eigenpair of a Hermitian operator
 # ---------------------------------------------------------------------------
 
 # Dense eigh up to this dimension, Lanczos above it. One BLAS thread, tau
@@ -456,6 +431,7 @@ DENSE_EIG_LIMIT = 128
 class HermitianOperator:
     """Matrix-free Hermitian operator: a dimension plus a matvec.
 
+    ``matvec`` accepts an (n,) vector or an (n, k) block of columns.
     ``norm_bound`` is any upper bound on the spectral norm; it sets the
     residual target of :func:`hermitian_max_eigenpair`. No sign or
     ordering of the spectrum is assumed.
@@ -467,30 +443,31 @@ class HermitianOperator:
         self.norm_bound = float(norm_bound)
 
 
-def hermitian_max_eigenpair(m, max_krylov=300, seed=0):
-    """Largest eigenvalue and unit eigenvector.
+def hermitian_max_eigenpair(op):
+    """Largest eigenvalue and unit eigenvector of a HermitianOperator.
 
-    Dense decomposition for a matrix of dim <= DENSE_EIG_LIMIT. Above it,
-    and for any :class:`HermitianOperator`, Lanczos from a seeded random
-    start vector: each new Krylov vector is orthogonalised twice against
-    the whole basis, so the residual estimate |beta_k y_k| of the top Ritz
-    pair can be trusted, and an invariant subspace (beta_k = 0) simply ends
-    the recurrence. The pair is returned once one explicit matvec confirms
-    ||Mv - lam v|| <= 1e-10 ||M||, with ||M|| the operator's
-    ``norm_bound`` (Frobenius norm for a matrix); a Krylov space of
-    ``max_krylov`` vectors that falls short raises
-    :class:`ConvergenceError` with the residual reached.
+    Up to DENSE_EIG_LIMIT the operator is materialised by one matvec of
+    the identity block and diagonalised with ``eigh``; above it the pair
+    comes from :func:`_lanczos`.
     """
-    if not isinstance(m, HermitianOperator):
-        mat = m.entries if isinstance(m, HermitianMatrix) else \
-            HermitianMatrix(np.asarray(m)).entries
-        if mat.shape[0] <= DENSE_EIG_LIMIT:
-            w, v = np.linalg.eigh(mat)
-            return float(w[-1]), v[:, -1]
-        m = HermitianOperator(mat.shape[0], lambda x: mat @ x,
-                              np.linalg.norm(mat, ord="fro"))
+    if op.dim <= DENSE_EIG_LIMIT:
+        w, v = np.linalg.eigh(op.matvec(np.eye(op.dim, dtype=complex)))
+        return float(w[-1]), v[:, -1]
+    return _lanczos(op)
 
-    rng = np.random.default_rng(seed)
+
+def _lanczos(m, max_krylov=300):
+    """Top eigenpair by Lanczos from a fixed-seed random start vector.
+
+    Each new Krylov vector is orthogonalised twice against the whole
+    basis, so the residual estimate |beta_k y_k| of the top Ritz pair can
+    be trusted, and an invariant subspace (beta_k = 0) simply ends the
+    recurrence. The pair is returned once one explicit matvec confirms
+    ||Mv - lam v|| <= 1e-10 ||M||, with ||M|| the operator's
+    ``norm_bound``; a Krylov space of ``max_krylov`` vectors that falls
+    short raises :class:`ConvergenceError` with the residual reached.
+    """
+    rng = np.random.default_rng(0)
     q = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
     q /= np.linalg.norm(q)
     tol = 1e-10 * m.norm_bound

@@ -62,19 +62,9 @@ def _psi_at(state, pts):
     """Synthesized wavefunction at arbitrary points (zero outside a box)."""
     model = state.slice.model
     flat = np.asarray(pts, dtype=float).ravel()
-    if model.kind == models.WELL:
-        inside = np.abs(flat) <= 0.5
-        vals = np.zeros(flat.size, dtype=complex)
-        if np.any(inside):
-            table = np.array([spectra.eigenfunction_grid(model, int(n),
-                                                         flat[inside])
-                              for n in state.slice.indices])
-            vals[inside] = state.amplitudes @ table
-    else:
-        table = np.array([spectra.eigenfunction_grid(model, int(n), flat)
-                          for n in state.slice.indices])
-        vals = state.amplitudes @ table
-    return vals.reshape(np.shape(pts))
+    table = np.array([spectra.eigenfunction_grid(model, int(n), flat)
+                      for n in state.slice.indices])
+    return (state.amplitudes @ table).reshape(np.shape(pts))
 
 
 def default_axes(state, n_q=201, n_p=201):

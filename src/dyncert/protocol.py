@@ -16,8 +16,7 @@ import numpy as np
 from . import models, spectra
 from .classical import TAU_HI, TAU_LO, EnergyWindow, energy_window
 from .errors import DomainError, DyncertError, NumericalInstabilityError
-from .numerics import (DENSE_EIG_LIMIT, HermitianMatrix, HermitianOperator,
-                       hermitian_max_eigenpair)
+from .numerics import HermitianOperator, hermitian_max_eigenpair
 
 THETA4 = 0.215 * pi
 
@@ -77,46 +76,32 @@ def build_q3(slc, tau):
     """Q3[i,j] = delta_ij/2 + (1/6) sum_k exp(i k tau theta_ij) sgn[i,j].
 
     theta_ij = 2 pi (E_i - E_j)/3, so the phase factorizes into diagonal
-    unitaries: Q3 = I/2 + (1/6) sum_k D_k S D_k^dagger.
+    unitaries: Q3 = I/2 + (1/6) sum_k D_k S D_k^dagger (k = 0, 1, 2), a
+    HermitianOperator whose matvec takes an (n,) vector or an (n, m)
+    block. The three rotated copies D_k^dagger v sit side by side as
+    complex columns, whose real view lets S act on all of them in one
+    matrix product.
     """
     if slc.dim == 0:
         raise DomainError("empty slice")
-    s = np.asarray(slc.sgn)
-    d1, d2 = _phase_vectors(slc.energies, tau)
-    q = s.astype(complex)
-    q += (d1[:, None] * d1.conj()[None, :]) * s
-    q += (d2[:, None] * d2.conj()[None, :]) * s
-    q /= 6.0
-    q[np.diag_indices(slc.dim)] += 0.5
-    return HermitianMatrix(q)
-
-
-def _q3_operator(slc, tau):
-    """Matrix-free Q3 = I/2 + (1/6) sum_k D_k S D_k^dagger (k = 0, 1, 2).
-
-    The three rotated vectors D_k^dagger v sit as the complex columns of
-    one (n, 3) block, whose real view is (n, 6), so S acts on all six
-    real columns in one matrix product.
-    """
     s = np.asarray(slc.sgn, dtype=float)
     d1, d2 = _phase_vectors(slc.energies, tau)
     rot = np.stack([np.ones_like(d1), d1, d2], axis=1)
     unrot = rot.conj()
 
     def matvec(v):
-        block = unrot * v[:, None]
-        sv = (s @ block.view(float)).view(complex)
-        return 0.5 * v + np.sum(rot * sv, axis=1) / 6.0
+        r, u = (rot, unrot) if v.ndim == 1 else (rot[..., None],
+                                                 unrot[..., None])
+        block = u * v[:, None]
+        sv = (s @ block.reshape(len(v), -1).view(float)).view(complex)
+        return 0.5 * v + np.sum(r * sv.reshape(block.shape), axis=1) / 6.0
 
     return HermitianOperator(slc.dim, matvec, norm_bound=1.0)
 
 
 def max_score(slc, tau, window=None):
     """Largest eigenvalue of Q3 with its eigenvector, as a ScoreResult."""
-    if slc.dim <= DENSE_EIG_LIMIT:
-        value, vector = hermitian_max_eigenpair(build_q3(slc, tau))
-    else:
-        value, vector = hermitian_max_eigenpair(_q3_operator(slc, tau))
+    value, vector = hermitian_max_eigenpair(build_q3(slc, tau))
     vector = vector / np.linalg.norm(vector)
     state = QuantumState(slc, vector)
     return ScoreResult(_in_unit_range(value), state, tau, window)
@@ -124,14 +109,8 @@ def max_score(slc, tau, window=None):
 
 def score_state(state, tau):
     """P3 = <psi|Q3(tau)|psi>, real in [0, 1]."""
-    slc = state.slice
     v = state.amplitudes
-    if slc.dim <= DENSE_EIG_LIMIT:
-        q = build_q3(slc, tau).entries
-        val = np.vdot(v, q @ v).real
-    else:
-        val = np.vdot(v, _q3_operator(slc, tau).matvec(v)).real
-    return _in_unit_range(val)
+    return _in_unit_range(np.vdot(v, build_q3(state.slice, tau).matvec(v)).real)
 
 
 def _in_unit_range(value):

@@ -182,15 +182,15 @@ def levels(model, window):
 # eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _hermite_pair(n, x):
-    """Harmonic-oscillator eigenfunctions psi_n and psi_{n-1} at x."""
+def _hermite_value(n, x):
+    """Harmonic-oscillator eigenfunction psi_n at x, by its recurrence."""
     x = np.asarray(x, dtype=float)
     psi_prev = np.zeros_like(x)
     psi = pi ** (-0.25) * np.exp(-0.5 * x * x)
     for k in range(n):
         psi, psi_prev = (sqrt(2.0 / (k + 1)) * x * psi
                          - sqrt(k / (k + 1.0)) * psi_prev), psi
-    return psi, psi_prev
+    return psi
 
 
 def _morse_log_norm(lam, n):
@@ -212,60 +212,12 @@ def _morse_value(lam, n, x):
     return out
 
 
-def eigenfunction(model, n, q):
-    """(psi_n(q), d psi_n/dq) in the real gauge; scalar in, scalar out."""
-    kind = model.kind
-    if kind in (models.HARMONIC, models.KERR):
-        x = float(q)
-        psi, psi_m1 = _hermite_pair(n, np.array(x))
-        value = float(psi)
-        deriv = -x * value + (sqrt(2.0 * n) * float(psi_m1) if n > 0 else 0.0)
-        return value, deriv
-
-    if kind == models.PENDULUM:
-        phi = float(q)
-        if not -pi < phi <= pi + 1e-15:
-            raise DomainError("pendulum angle must lie in (-pi, pi]")
-        sol = _pendulum_solutions(model, n + 1)[n]
-        return (float(eigenfunction_grid(model, n, phi)),
-                0.5 * sol.derivative(0.5 * phi) / sqrt(pi))
-
-    if kind == models.MORSE:
-        lam = model.lambda_morse
-        if not 0 <= n < morse_level_count(lam):
-            raise DomainError(f"Morse level {n} is not bound")
-        x = float(q)
-        value = float(_morse_value(lam, n, np.array(x)))
-        zx = 2.0 * lam * exp(x)
-        # d/dx [z^(lam-n-1/2) e^(-z/2) L(z)] with dz/dx = z and
-        # dL_n^(a)/dz = -L_{n-1}^(a+1)
-        deriv = ((lam - n - 0.5) - 0.5 * zx) * value
-        if n > 0:
-            lag_d = -laguerre(n - 1, 2.0 * lam - 2.0 * n, zx)
-            expo = _morse_log_norm(lam, n) + (lam - n - 0.5) * log(zx) - 0.5 * zx
-            if expo > -700.0:
-                deriv += exp(expo) * float(lag_d) * zx
-        return value, deriv
-
-    # infinite well (L = 1)
-    x = float(q)
-    if not -0.5 <= x <= 0.5:
-        raise DomainError("well position must lie in [-1/2, 1/2]")
-    if n < 1:
-        raise DomainError("well levels start at n = 1")
-    w = n * pi
-    if n % 2 == 1:
-        return sqrt(2.0) * np.cos(w * x), -sqrt(2.0) * w * np.sin(w * x)
-    return sqrt(2.0) * np.sin(w * x), sqrt(2.0) * w * np.cos(w * x)
-
-
 def eigenfunction_grid(model, n, qs):
-    """Vectorized psi_n on an array of positions (no derivatives)."""
+    """Vectorized psi_n on an array of positions."""
     qs = np.asarray(qs, dtype=float)
     kind = model.kind
     if kind in (models.HARMONIC, models.KERR):
-        psi, _ = _hermite_pair(n, qs)
-        return psi
+        return _hermite_value(n, qs)
     if kind == models.PENDULUM:
         sol = _pendulum_solutions(model, n + 1)[n]
         return np.asarray(sol.value(0.5 * qs)) / sqrt(pi)
@@ -554,7 +506,7 @@ class SpectrumSlice:
         s = np.asarray(self.sgn)
         if s.shape != (len(e), len(e)):
             raise DomainError("sgn matrix shape mismatch")
-        if not np.allclose(s, s.T, atol=1e-12):
+        if not np.allclose(s, s.T, rtol=0.0, atol=1e-12):
             raise DomainError("sgn matrix must be symmetric")
         if np.any(np.abs(s) > 1.0 + 1e-9):
             raise DomainError("sgn matrix entries must lie in [-1, 1]")

@@ -10,7 +10,8 @@ import pytest
 from dyncert import models, protocol
 from dyncert.classical import energy_window
 from dyncert.errors import DomainError, NumericalInstabilityError
-from dyncert.numerics import DENSE_EIG_LIMIT, hermitian_max_eigenpair
+from dyncert.numerics import (DENSE_EIG_LIMIT, _lanczos,
+                              hermitian_max_eigenpair)
 
 
 class TestQuantumState:
@@ -25,25 +26,32 @@ class TestQuantumState:
                                   np.array([1.0 + 0j, 0.0]))
 
 
+FIVE_MODELS = [(models.harmonic(), 40), (models.kerr(0.02), 20),
+               (models.pendulum(-0.02), 20), (models.morse(8.0), 6),
+               (models.infinite_well(), 30)]
+
+
+def _direct_q3(slc, tau):
+    """Q3[i,j] = delta_ij/2 + sgn[i,j]/6 sum_k exp(i k tau theta_ij)."""
+    es = np.asarray(slc.energies)
+    theta = 2 * np.pi * (es[:, None] - es[None, :]) / 3.0
+    phases = sum(np.exp(1j * k * tau * theta) for k in range(3))
+    return 0.5 * np.eye(slc.dim) + np.asarray(slc.sgn) / 6.0 * phases
+
+
 class TestBuildQ3:
     def test_hermitian_and_bounded(self, harmonic_slice6):
-        q = protocol.build_q3(harmonic_slice6, 1.3).entries
+        q = protocol.build_q3(harmonic_slice6, 1.3).matvec(np.eye(7))
         assert np.max(np.abs(q - q.conj().T)) < 1e-14
         eigs = np.linalg.eigvalsh(q)
         assert eigs[0] >= -1e-12 and eigs[-1] <= 1.0 + 1e-12
 
-    def test_matches_direct_formula(self, harmonic_slice6):
-        tau = 0.9
-        slc = harmonic_slice6
-        q = protocol.build_q3(slc, tau).entries
-        es = np.asarray(slc.energies)
-        for i in range(slc.dim):
-            for j in range(slc.dim):
-                theta = 2 * np.pi * (es[i] - es[j]) / 3.0
-                ref = (0.5 if i == j else 0.0)
-                ref += slc.sgn[i, j] / 6.0 * sum(
-                    np.exp(1j * k * tau * theta) for k in range(3))
-                assert abs(q[i, j] - ref) < 1e-14
+    def test_matches_direct_formula(self):
+        # the (n, n) identity block gives every column of Q3 at once
+        for mdl, n_hat in FIVE_MODELS:
+            slc = protocol.truncated_slice(mdl, n_hat, check=False)
+            q = protocol.build_q3(slc, 0.9).matvec(np.eye(slc.dim))
+            assert np.max(np.abs(q - _direct_q3(slc, 0.9))) < 1e-14
 
 
 class TestMaxScore:
@@ -53,22 +61,17 @@ class TestMaxScore:
 
     def test_matrix_free_matches_dense(self, harmonic_slice6):
         dense = protocol.max_score(harmonic_slice6, 1.0).p3_max
-        from dyncert.numerics import hermitian_max_eigenpair
-        op = protocol._q3_operator(harmonic_slice6, 1.0)
-        val, _ = hermitian_max_eigenpair(op)
+        val, _ = _lanczos(protocol.build_q3(harmonic_slice6, 1.0))
         assert abs(val - dense) < 1e-9
 
-    @pytest.mark.parametrize("mdl,n_hat", [
-        (models.harmonic(), 40), (models.kerr(0.02), 20),
-        (models.pendulum(-0.02), 20), (models.morse(8.0), 6),
-        (models.infinite_well(), 30)])
+    @pytest.mark.parametrize("mdl,n_hat", FIVE_MODELS)
     def test_packed_matvec_matches_dense(self, mdl, n_hat):
         slc = protocol.truncated_slice(mdl, n_hat, check=False)
         rng = np.random.default_rng(n_hat)
         for tau in (0.75, 1.0, 1.3):
             v = np.array([1.0, 1j]) @ rng.standard_normal((2, slc.dim))
-            got = protocol._q3_operator(slc, tau).matvec(v)
-            ref = protocol.build_q3(slc, tau).entries @ v
+            got = protocol.build_q3(slc, tau).matvec(v)
+            ref = _direct_q3(slc, tau) @ v
             assert np.max(np.abs(got - ref)) < 1e-13
 
     def test_degenerate_top_at_boundary_taus(self):
@@ -77,7 +80,7 @@ class TestMaxScore:
         slc = protocol.truncated_slice(models.harmonic(), 200, check=False)
         assert slc.dim > DENSE_EIG_LIMIT
         for tau in (0.75, 1.5):
-            op = protocol._q3_operator(slc, tau)
+            op = protocol.build_q3(slc, tau)
             calls = []
             matvec = op.matvec
             op.matvec = lambda v: calls.append(1) or matvec(v)

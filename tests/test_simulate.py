@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats as sst
 
-from dyncert import models, protocol, simulate
+from dyncert import models, protocol, simulate, spectra
+from dyncert.classical import energy_window
 from dyncert.errors import DomainError
 
 
@@ -29,6 +30,17 @@ class TestRunProtocol:
         exact = protocol.score_state(psi6, 1.0)
         est = simulate.run_protocol(psi6, 1.0, 200000, seed=3)
         assert abs(est.p3_hat - exact) < 4 * est.stderr
+
+    @pytest.mark.parametrize("lam", [5.0, 10.0])
+    def test_morse_optimal_state_matches_exact(self, lam):
+        # a step change at q = 0 in the Morse grid would cost the
+        # trapezoid rule more mass than the coverage check allows
+        mdl = models.morse(lam)
+        win = energy_window(mdl, 1.0)
+        slc = spectra.spectrum_slice(mdl, win, check=False)
+        best = protocol.max_score(slc, 1.0, window=win)
+        est = simulate.run_protocol(best.state, 1.0, 100000, seed=3)
+        assert abs(est.p3_hat - best.p3_max) < 4 * est.stderr
 
     def test_stationary_state_half(self):
         slc = protocol.truncated_slice(models.harmonic(), 6, check=False)

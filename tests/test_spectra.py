@@ -101,21 +101,8 @@ class TestEigenfunctions:
             z = 2 * lam * mpmath.e ** x
             ref = float(norm * z ** (lam - n - 0.5) * mpmath.e ** (-z / 2)
                         * mpmath.laguerre(n, a, z))
-            got, _ = spectra.eigenfunction(models.morse(lam), n, x)
+            got = spectra.eigenfunction_grid(models.morse(lam), n, x)
             assert abs(got - abs(ref) * np.sign(ref)) < 1e-10 * max(1, abs(ref))
-
-    @pytest.mark.parametrize("mdl,n,x", [
-        (models.pendulum(-0.05), 2, 0.7),
-        (models.morse(8.0), 2, -0.4),
-        (models.harmonic(), 4, 0.9),
-        (models.infinite_well(), 3, 0.2),
-    ])
-    def test_derivative_finite_difference(self, mdl, n, x):
-        h = 1e-5
-        _, d = spectra.eigenfunction(mdl, n, x)
-        vp, _ = spectra.eigenfunction(mdl, n, x + h)
-        vm, _ = spectra.eigenfunction(mdl, n, x - h)
-        assert abs(d - (vp - vm) / (2 * h)) < 1e-7 * max(1.0, abs(d))
 
 
 class TestMorsePolynomials:
@@ -225,6 +212,17 @@ class TestSpectrumSlice:
         k1 = spectra.slice_cache_key(models.harmonic(), w1)
         k2 = spectra.slice_cache_key(models.harmonic(), w2)
         assert k1 != k2
+
+    def test_load_rejects_asymmetric_sgn(self, tmp_path):
+        mdl = models.kerr(0.02)
+        slc = spectra.spectrum_slice(mdl, energy_window(mdl, 1.0),
+                                     check=False)
+        data = slc.to_json_dict()
+        data["sgn_matrix"][1] += 1e-6  # entry (0, 1) only
+        path = tmp_path / "slice.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DomainError, match="symmetric"):
+            spectra.SpectrumSlice.load(path, mdl)
 
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
