@@ -1,18 +1,19 @@
-"""Classical side of the protocol: trapping times, energy windows, and a
-brute-force trajectory oracle for the classical score bound 2/3.
+"""Classical side of the protocol: trapping times, energy windows, exact
+trajectories, and a sampling oracle for the classical score bound 2/3.
 
 Times are in units of 2*pi/omega0 and energies in hbar*omega0 throughout.
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt, acos, acosh, inf, isinf
+from math import pi, sqrt, acos, acosh, ceil, inf, isinf
 
 import numpy as np
 
 from . import models
 from .errors import (DomainError, EmptyWindowError, LibrationError,
                      UnsupportedTauError)
-from .numerics import elliptic_K, elliptic_K_inverse, quad_inverse_sqrt
+from .numerics import elliptic_K, elliptic_K_inverse, jacobi_sn_cn_dn
+from .numerics import quad_inverse_sqrt  # noqa: F401  perfbench traces it here
 
 POS_BOUNDARY_TOL = 1e-12
 
@@ -109,72 +110,6 @@ def trapping_times(model, e):
     return TrappingTimes(half, half)
 
 
-def trapping_times_quadrature(potential, e, mass=1.0, search=(-50.0, 50.0),
-                              rel_tol=1e-10):
-    """Generic turning-point quadrature for Delta t_+/-.
-
-    ``potential`` maps position to energy (same units as *e*); the result
-    is in the same time unit as sqrt(mass * length^2 / energy). Used to
-    cross-check the closed forms; accepts any smooth potential with
-    turning points inside ``search``.
-    """
-    lo, hi = search
-
-    def root_between(x0, x1):
-        f0, f1 = e - potential(x0), e - potential(x1)
-        if f0 == 0.0:
-            return x0
-        if f1 == 0.0:
-            return x1
-        if f0 * f1 > 0:
-            return None
-        for _ in range(200):
-            xm = 0.5 * (x0 + x1)
-            fm = e - potential(xm)
-            if fm == 0.0 or (x1 - x0) < 1e-15 * max(1.0, abs(xm)):
-                return xm
-            if f0 * fm < 0:
-                x1, f1 = xm, fm
-            else:
-                x0, f0 = xm, fm
-        return 0.5 * (x0 + x1)
-
-    # locate q_{-1} (first root below 0) and q_{+1} (first root above 0)
-    xs = np.linspace(lo, hi, 4001)
-    vals = e - potential(xs)
-    q_neg = q_pos = None
-    for i in range(len(xs) - 1):
-        if xs[i + 1] <= 0 and vals[i] * vals[i + 1] <= 0:
-            q_neg = root_between(xs[i], xs[i + 1])  # keep the closest to 0
-        if xs[i] >= 0 and vals[i] * vals[i + 1] <= 0 and q_pos is None:
-            q_pos = root_between(xs[i], xs[i + 1])
-
-    def dwell_time(a, b):
-        # twice the turning-point-to-origin transit: the trajectory enters
-        # the half-plane, reaches the turning point, and retraces its path
-        f = lambda x: 1.0 / sqrt(max(e - potential(x), 1e-300))
-        return 2.0 * sqrt(mass / 2.0) * quad_inverse_sqrt(f, a, b, rel_tol=rel_tol)
-
-    eps = 1e-7
-
-    def slope(x):
-        return -(potential(x + eps) - potential(x - eps)) / (2 * eps)
-
-    if q_neg is not None and slope(q_neg) > 0:
-        dt_minus = dwell_time(q_neg, 0.0)
-    elif q_neg is None and q_pos is not None and slope(q_pos) >= 0:
-        dt_minus = 0.0
-    else:
-        dt_minus = inf
-    if q_pos is not None and slope(q_pos) < 0:
-        dt_plus = dwell_time(0.0, q_pos)
-    elif q_pos is None and q_neg is not None and slope(q_neg) <= 0:
-        dt_plus = 0.0
-    else:
-        dt_plus = inf
-    return TrappingTimes(dt_plus, dt_minus)
-
-
 # ---------------------------------------------------------------------------
 # energy windows
 # ---------------------------------------------------------------------------
@@ -250,27 +185,14 @@ def energy_window(model, tau):
 #   Morse         : q = c x, p scaled so eps = p^2/(2 lambda) + (lambda/2)(1-e^q)^2
 #   well          : q in L units in [-1/2, 1/2], p = velocity dq/dt, eps = (p/2)^2
 # Each pair is canonical up to a constant rescaling of p, so uniform sampling
-# in (q, p) is uniform in canonical phase-space area.
-
-_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
-_YOSHIDA_C = np.array([_YOSHIDA_W1 / 2, (_YOSHIDA_W0 + _YOSHIDA_W1) / 2,
-                       (_YOSHIDA_W0 + _YOSHIDA_W1) / 2, _YOSHIDA_W1 / 2])
-_YOSHIDA_D = np.array([_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1])
-_YOSHIDA_STEPS_PER_UNIT = 2048  # per time unit 2*pi/omega0
-
-
-def _yoshida4(q, p, inv_mass, force, s_total, n_steps):
-    """Fourth-order symplectic composition for H = p^2/(2m) + V(q)."""
-    h = s_total / n_steps
-    q = np.array(q, dtype=float, copy=True)
-    p = np.array(p, dtype=float, copy=True)
-    for _ in range(n_steps):
-        q += _YOSHIDA_C[0] * h * inv_mass * p
-        for i in range(3):
-            p += _YOSHIDA_D[i] * h * force(q)
-            q += _YOSHIDA_C[i + 1] * h * inv_mass * p
-    return q, p
+# in (q, p) is uniform in canonical phase-space area. Every model's flow is
+# closed form; in the raw time s = 2*pi*t (a prime is d/ds):
+#   pendulum : q'' = -sin q with q' = 8|a|p; sin(q/2) = k sn(u0 + s | m) for
+#              m = k^2 = sin^2(q0/2) + (q0'/2)^2 < 1, expanded by the
+#              addition theorem so sn, cn, dn are taken at (s | m) alone
+#   Morse    : y = e^-q obeys the linear y'' = (r - 1) y + 1 with
+#              r = E/De = (p/lambda)^2 + (1 - e^q)^2, so y = y0 C + y0' S + D
+#              on bound (r < 1), threshold (r = 1) and open (r > 1) orbits
 
 
 def hamiltonian_value(model, q, p):
@@ -292,28 +214,50 @@ def hamiltonian_value(model, q, p):
     return 0.25 * p * p  # well: p is dq/dt, eps = (p/2)^2
 
 
-def _pendulum_force_and_mass(model):
+def _pendulum_flow(model, q0, p0, times):
     a = abs(model.alpha)
-    return (lambda q: -np.sin(q) / (8.0 * a)), 1.0 / (8.0 * a)
+    sin0, cos0 = np.sin(0.5 * q0), np.cos(0.5 * q0)
+    v0 = 4.0 * a * p0  # q0'/2
+    m = sin0 * sin0 + v0 * v0
+    if not np.all(m < 1.0):
+        raise LibrationError(
+            "pendulum states at or past the separatrix have no trapped flow")
+    s = 2.0 * pi * np.asarray(times, dtype=float)
+    sn, cn, dn = jacobi_sn_cn_dn(s.reshape(-1, 1), m)  # one row per time
+    den = 1.0 - (sin0 * sn) ** 2
+    sin_half = (sin0 * cn * dn + v0 * cos0 * sn) / den
+    cos_half = (cos0 * dn - sin0 * v0 * sn * cn) / den
+    v = (v0 * cn - sin0 * cos0 * sn * dn) / den
+    yield from zip(2.0 * np.arctan2(sin_half, cos_half), v / (4.0 * a))
 
 
-def _morse_force_and_mass(model):
+def _morse_flow(model, q0, p0, times):
     lam = model.lambda_morse
-
-    def force(q):
-        eq = np.exp(q)
-        return lam * (1.0 - eq) * eq
-
-    return force, lam
+    y0 = np.exp(-q0)
+    dy0 = -p0 / lam * y0  # y' = -q' y with q' = p/lambda
+    w2 = 1.0 - (p0 / lam) ** 2 - (1.0 - np.exp(q0)) ** 2  # omega^2 = 1 - E/De
+    w = np.sqrt(np.abs(w2))
+    bound, still = w2 > 0.0, w == 0.0
+    for t in times:
+        half = pi * t * w  # omega s / 2
+        # h = sin(omega s/2)/omega (sinh when open, s/2 at omega = 0) gives
+        # S = sin(omega s)/omega = 2 h cos(omega s/2), D = 2 h^2, C = 1 - omega^2 D
+        h = np.where(still, pi * t, np.where(bound, np.sin(half), np.sinh(half))
+                     / np.where(still, 1.0, w))
+        sc = 2.0 * h * np.where(bound, np.cos(half), np.cosh(half))
+        d = 2.0 * h * h
+        c = 1.0 - w2 * d
+        y = y0 * c + dy0 * sc + d
+        yield -np.log(y), -lam * (dy0 * c + (1.0 - w2 * y0) * sc) / y
 
 
 def _flow(model, q0, p0, times):
     """Yield (q, p) of a batch of initial states at each of ``times`` in turn.
 
-    Harmonic/Kerr precess exactly and the well reflects exactly off its
-    walls (L = 1); pendulum and Morse step a fourth-order symplectic
-    integrator from the previous time (backwards if it is earlier) at a
-    fixed step count per time unit.
+    Every flow is exact and evaluated at each time from the initial states:
+    harmonic/Kerr precess, the well reflects off its walls (L = 1), and the
+    pendulum and Morse follow the closed forms above. Pendulum states at or
+    past the separatrix raise ``LibrationError``.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
@@ -338,38 +282,14 @@ def _flow(model, q0, p0, times):
             yield np.where(below, y - 0.5, 1.5 - y), np.where(below, p0, -p0)
         return
 
-    force, mass = (_pendulum_force_and_mass(model) if kind == models.PENDULUM
-                   else _morse_force_and_mass(model))
-    q, p = q0, p0
-    prev_t = 0.0
-    for t in times:
-        dt = t - prev_t
-        if dt != 0:
-            n = max(8, int(np.ceil(_YOSHIDA_STEPS_PER_UNIT * abs(dt))))
-            q, p = _yoshida4(q, p, 1.0 / mass, force, 2.0 * pi * dt, n)
-        prev_t = t
-        yield (np.mod(q + pi, 2.0 * pi) - pi if kind == models.PENDULUM
-               else q), p
+    yield from (_pendulum_flow if kind == models.PENDULUM
+                else _morse_flow)(model, q0, p0, times)
 
 
 def integrate_trajectory(model, q0, p0, t):
     """(q, p) after time t (units 2*pi/omega0): one sample of ``_flow``."""
     q, p = next(_flow(model, q0, p0, [t]))
     return float(q[0]), float(p[0])
-
-
-def morse_bound_position(model, e, t):
-    """Closed-form bound trajectory starting at the inner turning point.
-
-    Initial condition p(0) = 0 on the positive-q side; e must be below the
-    dissociation energy.
-    """
-    de = models.morse_dissociation_energy(model)
-    r = e / de
-    if not 0.0 <= r < 1.0:
-        raise DomainError("closed-form Morse trajectory requires 0 <= E < De")
-    period = 1.0 / sqrt(1.0 - r)
-    return float(np.log((1.0 - r) / (1.0 - sqrt(r) * np.cos(2.0 * pi * t / period))))
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +346,35 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
                    if model.kind == models.KERR and model.alpha < 0 else None)
     times = [tau / 3.0, 2.0 * tau / 3.0]
     rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def in_window(n):
+        """n in-window states: oversample, reject, top up from the stream."""
+        qs, ps, have, drawn, size = [], [], 0, 0, 2 * n
+        while have < n:
+            q = rng.uniform(q_lo, q_hi, size=size)
+            p = rng.uniform(p_lo, p_hi, size=size)
+            e = hamiltonian_value(model, q, p)
+            keep = (e >= window.e_min) & (e <= min(window.e_max, e_cap))
+            if kerr_h0_cap is not None:
+                keep &= 0.5 * (q * q + p * p) <= kerr_h0_cap
+            # drop the trivial fixed point at the origin (its score is 1/2)
+            keep &= ~((np.abs(q) < POS_BOUNDARY_TOL) & (np.abs(p) < POS_BOUNDARY_TOL))
+            if not keep.any() and size == 2 * n:
+                raise EmptyWindowError("rejection sampler found no states in the window")
+            qs.append(q[keep])
+            ps.append(p[keep])
+            have, drawn = have + len(qs[-1]), drawn + size
+            # top up with twice the draws the acceptance so far predicts
+            size = min(2 * n, 2 * ceil((n - have) * drawn / have))
+        if len(qs) > 1:  # a single draw is returned uncopied
+            qs, ps = [np.concatenate(qs)], [np.concatenate(ps)]
+        return qs[0][:n], ps[0][:n]
+
     best = 0.0
     remaining = n_samples
     while remaining > 0:
         n = min(batch_size, remaining)
-        # oversample to survive rejection
-        q = rng.uniform(q_lo, q_hi, size=2 * n)
-        p = rng.uniform(p_lo, p_hi, size=2 * n)
-        e = hamiltonian_value(model, q, p)
-        keep = (e >= window.e_min) & (e <= min(window.e_max, e_cap))
-        if kerr_h0_cap is not None:
-            keep &= 0.5 * (q * q + p * p) <= kerr_h0_cap
-        # drop the trivial fixed point at the origin (its score is 1/2)
-        keep &= ~((np.abs(q) < POS_BOUNDARY_TOL) & (np.abs(p) < POS_BOUNDARY_TOL))
-        q, p = q[keep][:n], p[keep][:n]
-        if len(q) == 0:
-            raise EmptyWindowError("rejection sampler found no states in the window")
+        q, p = in_window(n)
         score = pos(q)
         for q_t, _ in _flow(model, q, p, times):
             score = score + pos(q_t)

@@ -39,7 +39,7 @@ class RealGrid:
 
 
 # ---------------------------------------------------------------------------
-# complete elliptic integral of the first kind
+# elliptic integral K and the Jacobi elliptic functions
 # ---------------------------------------------------------------------------
 
 def elliptic_K(m):
@@ -82,6 +82,34 @@ def elliptic_K_inverse(k, tol=1e-13):
         if hi - lo <= tol * max(1.0, lo):
             break
     return 0.5 * (lo + hi)
+
+
+LANDEN_STEPS = 12  # cap: every double m < 1 converges within 10 steps
+
+
+def jacobi_sn_cn_dn(u, m):
+    """Jacobi sn, cn, dn at (u | m) by descending Landen/AGM (A&S 16.4.3).
+
+    *m* is the parameter (squared modulus), each element in [0, 1); *u*
+    broadcasts against it, and the AGM runs once on *m*'s shape.
+    """
+    u, m = np.asarray(u, dtype=float), np.asarray(m, dtype=float)
+    if not np.all((m >= 0.0) & (m < 1.0)):
+        raise DomainError("jacobi_sn_cn_dn requires 0 <= m < 1")
+    a, b, c = np.ones(m.shape), np.sqrt(1.0 - m), np.sqrt(m)
+    ratios = []
+    for _ in range(LANDEN_STEPS):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        c = c * c / (4.0 * a)  # c_n = (a_{n-1} - b_{n-1})/2 without cancellation
+        ratios.append(c / a)
+        if np.all(ratios[-1] < 1e-17):  # the next step would add nothing
+            break
+    phi = 2.0 ** len(ratios) * a * u
+    for ratio in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
+    sn, cn = np.sin(phi), np.cos(phi)
+    # dn^2 = cn^2 + (1 - m) sn^2 keeps full relative accuracy where cn -> 0
+    return sn, cn, np.sqrt(cn * cn + (1.0 - m) * sn * sn)
 
 
 # ---------------------------------------------------------------------------

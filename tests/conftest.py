@@ -1,9 +1,14 @@
-"""Shared fixtures and independent oracles built on scipy/mpmath."""
+"""Shared fixtures and independent oracles: overlap and trapping-time
+quadratures and a fine-step trajectory integrator."""
+
+from math import inf, pi, sqrt
 
 import numpy as np
 import pytest
 
 from dyncert import models, protocol
+from dyncert.classical import TrappingTimes
+from dyncert.numerics import quad_inverse_sqrt
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +49,122 @@ def sgn_overlap_oracle(model, n, m, n_points=300001):
     a = spectra.eigenfunction_grid(model, n, qs)
     b = spectra.eigenfunction_grid(model, m, qs)
     return float(np.trapezoid(np.sign(qs) * a * b, qs))
+
+
+# ---------------------------------------------------------------------------
+# turning-point quadrature for the closed-form trapping times
+# ---------------------------------------------------------------------------
+
+def trapping_times_quadrature(potential, e, mass=1.0, search=(-50.0, 50.0),
+                              rel_tol=1e-10):
+    """Generic turning-point quadrature for Delta t_+/-.
+
+    ``potential`` maps position to energy (same units as *e*); the result
+    is in the same time unit as sqrt(mass * length^2 / energy). Used to
+    cross-check the closed forms; accepts any smooth potential with
+    turning points inside ``search``.
+    """
+    lo, hi = search
+
+    def root_between(x0, x1):
+        f0, f1 = e - potential(x0), e - potential(x1)
+        if f0 == 0.0:
+            return x0
+        if f1 == 0.0:
+            return x1
+        if f0 * f1 > 0:
+            return None
+        for _ in range(200):
+            xm = 0.5 * (x0 + x1)
+            fm = e - potential(xm)
+            if fm == 0.0 or (x1 - x0) < 1e-15 * max(1.0, abs(xm)):
+                return xm
+            if f0 * fm < 0:
+                x1, f1 = xm, fm
+            else:
+                x0, f0 = xm, fm
+        return 0.5 * (x0 + x1)
+
+    # locate q_{-1} (first root below 0) and q_{+1} (first root above 0)
+    xs = np.linspace(lo, hi, 4001)
+    vals = e - potential(xs)
+    q_neg = q_pos = None
+    for i in range(len(xs) - 1):
+        if xs[i + 1] <= 0 and vals[i] * vals[i + 1] <= 0:
+            q_neg = root_between(xs[i], xs[i + 1])  # keep the closest to 0
+        if xs[i] >= 0 and vals[i] * vals[i + 1] <= 0 and q_pos is None:
+            q_pos = root_between(xs[i], xs[i + 1])
+
+    def dwell_time(a, b):
+        # twice the turning-point-to-origin transit: the trajectory enters
+        # the half-plane, reaches the turning point, and retraces its path
+        f = lambda x: 1.0 / sqrt(max(e - potential(x), 1e-300))
+        return 2.0 * sqrt(mass / 2.0) * quad_inverse_sqrt(f, a, b, rel_tol=rel_tol)
+
+    eps = 1e-7
+
+    def slope(x):
+        return -(potential(x + eps) - potential(x - eps)) / (2 * eps)
+
+    if q_neg is not None and slope(q_neg) > 0:
+        dt_minus = dwell_time(q_neg, 0.0)
+    elif q_neg is None and q_pos is not None and slope(q_pos) >= 0:
+        dt_minus = 0.0
+    else:
+        dt_minus = inf
+    if q_pos is not None and slope(q_pos) < 0:
+        dt_plus = dwell_time(0.0, q_pos)
+    elif q_pos is None and q_neg is not None and slope(q_neg) <= 0:
+        dt_plus = 0.0
+    else:
+        dt_plus = inf
+    return TrappingTimes(dt_plus, dt_minus)
+
+
+# ---------------------------------------------------------------------------
+# fine-step trajectory reference for the exact pendulum and Morse flows
+# ---------------------------------------------------------------------------
+
+_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
+_YOSHIDA_C = np.array([_YOSHIDA_W1 / 2, (_YOSHIDA_W0 + _YOSHIDA_W1) / 2,
+                       (_YOSHIDA_W0 + _YOSHIDA_W1) / 2, _YOSHIDA_W1 / 2])
+_YOSHIDA_D = np.array([_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1])
+_YOSHIDA_STEPS_PER_UNIT = 65536  # per time unit 2*pi/omega0
+
+
+def _yoshida4(q, p, inv_mass, force, s_total, n_steps):
+    """Fourth-order symplectic composition for H = p^2/(2m) + V(q)."""
+    h = s_total / n_steps
+    q = np.array(q, dtype=float, copy=True)
+    p = np.array(p, dtype=float, copy=True)
+    for _ in range(n_steps):
+        q += _YOSHIDA_C[0] * h * inv_mass * p
+        for i in range(3):
+            p += _YOSHIDA_D[i] * h * force(q)
+            q += _YOSHIDA_C[i + 1] * h * inv_mass * p
+    return q, p
+
+
+def _pendulum_force_and_mass(model):
+    a = abs(model.alpha)
+    return (lambda q: -np.sin(q) / (8.0 * a)), 1.0 / (8.0 * a)
+
+
+def _morse_force_and_mass(model):
+    lam = model.lambda_morse
+
+    def force(q):
+        eq = np.exp(q)
+        return lam * (1.0 - eq) * eq
+
+    return force, lam
+
+
+def yoshida_trajectory(model, q0, p0, t):
+    """(q, p) of a batch of pendulum or Morse states after time t (units
+    2*pi/omega0, either sign) by fine Yoshida steps; pendulum q unwrapped."""
+    force, mass = (_pendulum_force_and_mass(model) if model.kind == models.PENDULUM
+                   else _morse_force_and_mass(model))
+    n = int(np.ceil(_YOSHIDA_STEPS_PER_UNIT * abs(t)))
+    return _yoshida4(q0, p0, 1.0 / mass, force, 2.0 * pi * t, n)

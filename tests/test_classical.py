@@ -9,11 +9,18 @@ import scipy.special as sps
 from dyncert import classical, models
 from dyncert.classical import (EnergyWindow, classical_score_oracle,
                                energy_window, hamiltonian_value,
-                               integrate_trajectory, morse_bound_position,
-                               pos, trapping_times,
-                               trapping_times_quadrature)
+                               integrate_trajectory, pos, trapping_times)
 from dyncert.errors import (DomainError, EmptyWindowError, LibrationError,
                             UnsupportedTauError)
+from conftest import trapping_times_quadrature, yoshida_trajectory
+
+
+def morse_bound_position(model, e, t):
+    """Closed-form bound Morse trajectory from the inner turning point
+    (p(0) = 0 on the positive-q side) at energy 0 <= e < De."""
+    r = e / models.morse_dissociation_energy(model)
+    period = 1.0 / sqrt(1.0 - r)
+    return float(np.log((1.0 - r) / (1.0 - sqrt(r) * np.cos(2.0 * pi * t / period))))
 
 
 class TestPos:
@@ -155,7 +162,7 @@ class TestTrajectories:
         for t in np.linspace(0.1, 2.0, 5):
             q, p = integrate_trajectory(mdl, q0, p0, float(t))
             assert abs(q) <= np.pi + 1e-12
-            assert abs(hamiltonian_value(mdl, q, p) - e0) < 1e-8 * abs(e0)
+            assert abs(hamiltonian_value(mdl, q, p) - e0) < 1e-12 * abs(e0)
 
     @pytest.mark.parametrize("mdl,q0,p0", [
         (models.pendulum(-0.05), 1.2, 0.3),
@@ -181,7 +188,69 @@ class TestTrajectories:
         q0 = morse_bound_position(mdl, e, 0.0)
         for t in np.linspace(0.0, 1.5, 7):
             q, _ = integrate_trajectory(mdl, q0, 0.0, float(t))
-            assert abs(q - morse_bound_position(mdl, e, float(t))) < 1e-7
+            assert abs(q - morse_bound_position(mdl, e, float(t))) < 1e-12
+
+    def test_pendulum_at_or_past_separatrix_raises(self):
+        mdl = models.pendulum(-0.05)
+        for q0, p0 in ((pi, 0.0), (0.0, 6.0), (0.3, -8.0)):
+            with pytest.raises(LibrationError):
+                integrate_trajectory(mdl, q0, p0, 0.4)
+
+
+PENDULUM_M_VALUES = (0.05, 0.5, 0.9, 0.98)
+MORSE_LAMBDA = 8.0
+# bound (r < 1) states on both sides of the well, then exactly r = 1 and
+# open r = 1.5 and r ~ 1.26 orbits; r = (p/lambda)^2 + (1 - e^q)^2
+MORSE_Q0 = np.array([0.3, -0.5, -1.0, 0.0, 0.0, 0.0, 0.2])
+MORSE_P0 = MORSE_LAMBDA * np.array([0.025, 0.375, -0.25, 1.0, -1.0,
+                                    sqrt(1.5), -1.1])
+
+
+def _pendulum_states(alpha):
+    """Eight phases on each orbit m = sin^2(q/2) + (q'/2)^2 in
+    PENDULUM_M_VALUES, with q' = 8|alpha| p."""
+    theta = np.linspace(0.0, 2.0 * pi, 8, endpoint=False)
+    k = np.sqrt(np.repeat(PENDULUM_M_VALUES, theta.size))
+    theta = np.tile(theta, len(PENDULUM_M_VALUES))
+    return (2.0 * np.arcsin(k * np.sin(theta)),
+            2.0 * k * np.cos(theta) / (8.0 * abs(alpha)))
+
+
+class TestExactFlows:
+    """The closed-form pendulum and Morse flows against fine Yoshida steps."""
+
+    @pytest.mark.parametrize("t", [0.9, -0.6])
+    def test_pendulum_matches_fine_reference(self, t):
+        mdl = models.pendulum(-0.05)
+        q0, p0 = _pendulum_states(mdl.alpha)
+        (q, p), = classical._flow(mdl, q0, p0, [t])
+        q_ref, p_ref = yoshida_trajectory(mdl, q0, p0, t)
+        assert np.all(np.abs(np.angle(np.exp(1j * (q - q_ref)))) <= 1e-11)
+        assert np.all(np.abs(p - p_ref) <= 1e-11)
+
+    @pytest.mark.parametrize("t", [0.9, -0.6])
+    def test_morse_matches_fine_reference(self, t):
+        mdl = models.morse(MORSE_LAMBDA)
+        r = (MORSE_P0 / MORSE_LAMBDA) ** 2 + (1.0 - np.exp(MORSE_Q0)) ** 2
+        assert np.any(r < 1.0) and np.any(r == 1.0) and np.any(r > 1.0)
+        (q, p), = classical._flow(mdl, MORSE_Q0, MORSE_P0, [t])
+        q_ref, p_ref = yoshida_trajectory(mdl, MORSE_Q0, MORSE_P0, t)
+        assert np.all(np.abs(q - q_ref) <= 1e-11)
+        assert np.all(np.abs(p - p_ref) <= 1e-11)
+
+    def test_energy_conserved(self):
+        pend = models.pendulum(-0.05)
+        morse = models.morse(MORSE_LAMBDA)
+        cases = [(pend, *_pendulum_states(pend.alpha), 1.0 / (8.0 * abs(pend.alpha))),
+                 (morse, MORSE_Q0, MORSE_P0, None)]
+        for mdl, q0, p0, scale in cases:
+            e0 = hamiltonian_value(mdl, q0, p0)
+            # the pendulum's energies straddle 0: compare with the well depth
+            scale = np.abs(e0) if scale is None else scale
+            times = np.linspace(-2.0, 2.0, 9)
+            for q, p in classical._flow(mdl, q0, p0, times):
+                assert np.all(np.abs(hamiltonian_value(mdl, q, p) - e0)
+                              <= 1e-12 * scale)
 
 
 class TestClassicalOracle:
@@ -196,6 +265,29 @@ class TestClassicalOracle:
         w = energy_window(mdl, tau)
         p = classical_score_oracle(mdl, w, tau, 20000, seed=1)
         assert p <= 2.0 / 3.0 + 1e-9
+
+    @pytest.mark.parametrize("mdl,tau", [
+        (models.pendulum(-0.02), 1.0),
+        (models.infinite_well(), 0.4),
+    ])
+    def test_every_batch_evaluates_its_full_count(self, mdl, tau, monkeypatch):
+        # rejection keeps under half of a 2n draw here, so batches top up
+        flowed = []
+        flow = classical._flow
+
+        def counting_flow(model, q0, p0, times):
+            flowed.append(len(q0))
+            return flow(model, q0, p0, times)
+
+        monkeypatch.setattr(classical, "_flow", counting_flow)
+        classical_score_oracle(mdl, energy_window(mdl, tau), tau, 25_000,
+                               seed=0, batch_size=10_000)
+        assert flowed == [10_000, 10_000, 5_000]
+
+    def test_window_with_no_area_raises(self):
+        with pytest.raises(EmptyWindowError):
+            classical_score_oracle(models.harmonic(), EnergyWindow(1.0, 1.0),
+                                   1.0, 100, seed=0)
 
     def test_violation_outside_window(self):
         # tau = 3 makes every harmonic trajectory return to its sign

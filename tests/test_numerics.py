@@ -2,6 +2,7 @@
 
 from math import exp, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -10,7 +11,7 @@ from dyncert.errors import ConvergenceError, DomainError
 from dyncert.numerics import (DENSE_EIG_LIMIT, HermitianOperator,
                               RealGrid, _lanczos,
                               elliptic_K, elliptic_K_inverse,
-                              hermitian_max_eigenpair, laguerre,
+                              hermitian_max_eigenpair, jacobi_sn_cn_dn, laguerre,
                               mathieu_eigensystem, quad_inverse_sqrt,
                               regularized_gamma_Q)
 
@@ -37,6 +38,46 @@ class TestEllipticK:
     def test_inverse_domain(self):
         with pytest.raises(DomainError):
             elliptic_K_inverse(pi / 2 - 1e-6)
+
+
+class TestJacobiElliptic:
+    @staticmethod
+    def grid():
+        """u across [-10, 10], a per-element m in [0, 0.999] incl. m = 0."""
+        u = np.linspace(-10.0, 10.0, 4001)
+        m = np.random.default_rng(5).uniform(0.0, 0.999, u.size)
+        m[::10] = 0.0
+        m[-1] = 0.999
+        return u, m
+
+    def test_against_scipy(self):
+        u, m = self.grid()
+        sn, cn, dn = jacobi_sn_cn_dn(u, m)
+        ref_sn, ref_cn, ref_dn, _ = sps.ellipj(u, m)
+        assert np.max(np.abs(sn - ref_sn)) <= 1e-14
+        assert np.max(np.abs(cn - ref_cn)) <= 1e-14
+        # scipy's dn = cn / cos(phi_1 - phi_0) is itself off by up to 1.1e-14
+        # near |u| = 8 (against mpmath); test_against_mpmath bounds ours
+        assert np.max(np.abs(dn - ref_dn)) <= 2e-14
+
+    def test_against_mpmath(self):
+        u, m = (x[::20] for x in self.grid())
+        ours = jacobi_sn_cn_dn(u, m)
+        with mpmath.workdps(30):
+            for name, values in zip(("sn", "cn", "dn"), ours):
+                ref = [float(mpmath.ellipfun(name, x, m=k)) for x, k in zip(u, m)]
+                assert np.max(np.abs(values - ref)) <= 1e-14
+
+    def test_zero_parameter_is_trigonometric(self):
+        u = np.linspace(-10.0, 10.0, 401)
+        sn, cn, dn = jacobi_sn_cn_dn(u, 0.0)
+        assert np.array_equal(sn, np.sin(u)) and np.array_equal(cn, np.cos(u))
+        assert np.max(np.abs(dn - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [-0.1, 1.0])
+    def test_rejects_m_outside_unit_interval(self, m):
+        with pytest.raises(DomainError):
+            jacobi_sn_cn_dn(0.3, m)
 
 
 class TestRegularizedGammaQ:
