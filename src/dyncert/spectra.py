@@ -3,7 +3,10 @@ of sgn(Q) on a truncated eigenbasis.
 
 Energies are in hbar*omega0 and positions in each model's natural length
 unit (see models module). All eigenfunctions are taken in a real gauge, so
-the sgn matrix is real symmetric.
+the sgn matrix is real symmetric. The harmonic, Kerr, pendulum and well
+potentials are even, so each supplies only the block coupling its even to
+its odd levels; the Morse potential has no parity and supplies the full
+matrix.
 """
 
 import hashlib
@@ -17,8 +20,7 @@ import numpy as np
 
 from . import models
 from .errors import (DomainError, EmptySliceError, NumericalInstabilityError)
-from .numerics import (laguerre, mathieu_eigensystem, regularized_gamma_Q,
-                       _adaptive_simpson)
+from .numerics import laguerre, mathieu_eigensystem, regularized_gamma_Q
 
 SGN_CHECK_TOL = 1e-6
 SCHEMA_VERSION = "dyncert.spectrum-slice.v1"
@@ -46,8 +48,9 @@ def morse_energy(lam, n):
 
 
 def morse_level_count(lam):
-    """Number of bound states: n = 0 .. floor(lambda - 1/2)."""
-    return int(floor(lam - 0.5)) + 1
+    """Number of bound states: every n < lambda - 1/2. At half-integer lambda
+    the level n = lambda - 1/2 lies at E = De and is not normalisable."""
+    return ceil(lam - 0.5)
 
 
 # One Mathieu solve per pendulum alpha, shared by every caller; the lock
@@ -265,48 +268,26 @@ def morse_diag_polynomial(n, lam):
 # sgn matrix elements
 # ---------------------------------------------------------------------------
 
-def _harmonic_sgn(indices):
-    """<n|sgn(X)|n'> for harmonic/Kerr eigenstates.
+def _harmonic_block(even, odd):
+    """<e|sgn(X)|o> for harmonic/Kerr levels e even (rows) and o odd (columns).
 
-    Nonzero only between opposite parities; the magnitude involves central
-    binomials and is evaluated with extended-precision log-factorials so
-    that truncations of several thousand levels neither overflow nor lose
-    the leading digits.
+    a_e b_o (-1)^floor((d-1)/2) / d with d = o - e, a_e = sqrt(c_e) and
+    b_o = sqrt(2 o c_(o-1) / pi), where c_k = C(k, k/2) / 2^k comes from the
+    recurrence c_(k+2) = c_k (k+1)/(k+2).
     """
-    ns = np.asarray(indices, dtype=int)
-    n_top = int(ns.max())
-    logs = np.zeros(n_top + 2, dtype=np.longdouble)
-    logs[1:] = np.cumsum(np.log(np.arange(1, n_top + 2, dtype=np.longdouble)))
-    even = ns[ns % 2 == 0]
-    odd = ns[ns % 2 == 1]
-    if len(even) == 0 or len(odd) == 0:
-        return np.zeros((len(ns), len(ns)))
-    e = even[:, None].astype(np.int64)
-    o = odd[None, :].astype(np.int64)
-    lcb_e = logs[e] - 2.0 * logs[e // 2]
-    lcb_o = logs[o - 1] - 2.0 * logs[(o - 1) // 2]
-    log_mag = (-(0.5 * (e + o) - 1.0) * np.log(np.longdouble(2.0))
-               + 0.5 * (np.log(o.astype(np.longdouble)) - np.log(np.longdouble(pi))
-                        + lcb_e + lcb_o)
-               - np.log(np.abs(o - e).astype(np.longdouble)))
-    k = np.where(o > e, (o - e - 1) // 2, -((e - o + 1) // 2))
-    sign = np.where(k % 2 == 0, 1.0, -1.0) * np.sign(o - e)
-    block = (np.exp(log_mag) * sign).astype(float)
-    dim = len(ns)
-    s = np.zeros((dim, dim))
-    pos = {int(n): i for i, n in enumerate(ns)}
-    ei = np.array([pos[int(n)] for n in even])
-    oi = np.array([pos[int(n)] for n in odd])
-    s[np.ix_(ei, oi)] = block
-    s[np.ix_(oi, ei)] = block.T
-    return s
+    k = np.arange(0, max(even.max(), odd.max()), 2)
+    c = np.concatenate(([1.0], np.cumprod((k + 1.0) / (k + 2.0))))  # c_(2j)
+    a = np.sqrt(c[even // 2])
+    b = np.sqrt(2.0 * odd / pi * c[(odd - 1) // 2])
+    d = odd[None, :] - even[:, None]
+    sign = np.where((d - 1) // 2 % 2 == 0, 1.0, -1.0)
+    return a[:, None] * b[None, :] * sign / d
 
 
-def _pendulum_sgn(model, indices, energies):
+def _pendulum_block(model, ns, es, even, odd):
     """4|alpha| W(ce_n, se_m) / (pi (E_n - E_m)) between even n and odd m,
-    with the Wronskian W taken between u = 0 and u = pi/2."""
-    ns = np.asarray(indices, dtype=int)
-    es = np.asarray(energies, dtype=float)
+    with the Wronskian W taken between u = 0 and u = pi/2; ``even`` and
+    ``odd`` are positions in the levels ``ns`` with energies ``es``."""
     flat = np.flatnonzero(np.diff(es) <= 0.0)
     if len(flat):
         i = flat[0]
@@ -315,105 +296,72 @@ def _pendulum_sgn(model, indices, energies):
             f"{float(es[i + 1])!r}) are not strictly increasing: they lie "
             f"past the separatrix E = {model.energy_range()[1]!r}, where "
             "rotational pairs are degenerate to round-off; use fewer levels")
-    dim = len(ns)
-    s = np.zeros((dim, dim))
-    ei = np.flatnonzero(ns % 2 == 0)
-    oi = np.flatnonzero(ns % 2 == 1)
-    if len(ei) == 0 or len(oi) == 0:
-        return s
     sols = _pendulum_solutions(model, int(ns.max()) + 1)
     ends = np.array([0.0, 0.5 * pi])
-    ce = np.array([sols[n].value(ends) for n in ns[ei]])
-    se_d = np.array([sols[m].derivative(ends) for m in ns[oi]])
+    ce = np.array([sols[n].value(ends) for n in ns[even]])
+    se_d = np.array([sols[m].derivative(ends) for m in ns[odd]])
     w = np.outer(ce[:, 1], se_d[:, 1]) - np.outer(ce[:, 0], se_d[:, 0])
-    block = 4.0 * abs(model.alpha) * w / (pi * (es[ei, None] - es[None, oi]))
-    s[np.ix_(ei, oi)] = block
-    s[np.ix_(oi, ei)] = block.T
-    return s
+    return 4.0 * abs(model.alpha) * w / (pi * (es[even, None] - es[None, odd]))
 
 
-def _morse_psi0_values(lam, n_levels):
-    """psi_n(0) for n = 0..n_levels-1 (position x = 0, i.e. z = 2 lambda)."""
-    z0 = 2.0 * lam
-    vals = np.empty(n_levels)
-    for n in range(n_levels):
-        lag = laguerre(n, 2.0 * lam - 2.0 * n - 1.0, z0)
-        expo = _morse_log_norm(lam, n) + (lam - n - 0.5) * log(z0) - 0.5 * z0
-        vals[n] = exp(expo) * float(lag)
-    return vals
+def _well_block(even, odd):
+    """<n|sgn(Q)|m> for well levels n even (rows) and m odd (columns)."""
+    n = even[:, None].astype(float)
+    m = odd[None, :].astype(float)
+    return (2.0 / pi) * (1.0 / (n + m) + 1.0 / (n - m))
 
 
-def _morse_diag_quadrature(lam, n, rel_tol=1e-11):
-    """<n|sgn(X)|n> = 2 P[x > 0] - 1 by quadrature in t = log z over z > 2 lam."""
-    log_n2 = 2.0 * _morse_log_norm(lam, n)
+def _morse_diag_quadrature(lam, n):
+    """<n|sgn(X)|n> = 2 P[x > 0] - 1 by 24-point Gauss-Legendre on 32
+    panels in t = log z over z > 2 lam."""
     a = 2.0 * lam - 2.0 * n - 1.0
-
-    def integrand(t):
-        z = exp(t)
-        lag = float(laguerre(n, a, z))
-        if lag == 0.0:
-            return 0.0
-        expo = log_n2 + a * t - z + 2.0 * log(abs(lag))
-        return exp(expo) if expo > -700.0 else 0.0
-
-    t0 = log(2.0 * lam)
-    t1 = log(2.0 * lam + 80.0 + 20.0 * sqrt(2.0 * lam))
-    mass = _adaptive_simpson(integrand, t0, t1, rel_tol, 20000)
-    return 2.0 * mass - 1.0
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(log(2.0 * lam),
+                        log(2.0 * lam + 80.0 + 20.0 * sqrt(2.0 * lam)), 33)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = edges[:-1, None] + half * (1.0 + nodes)
+    z = np.exp(t)
+    lag = laguerre(n, a, z.ravel()).reshape(t.shape)
+    psi = np.exp(_morse_log_norm(lam, n) + 0.5 * (a * t - z)) * lag
+    return 2.0 * np.sum(half * weights * psi * psi) - 1.0
 
 
-def _morse_sgn(model, indices):
-    lam = model.lambda_morse
-    n_levels = int(max(indices)) + 1
-    psi0 = _morse_psi0_values(lam, n_levels)
-    dim = len(indices)
-    s = np.zeros((dim, dim))
-    for i in range(dim):
-        n = int(indices[i])
-        if n <= 7:
-            poly = morse_diag_polynomial(n, lam)
-            first = 0.0
-            if poly != 0.0:
-                expo = (log(4.0) + (2.0 * lam - 2.0 * n - 1.0) * log(2.0 * lam)
-                        - 2.0 * lam + log(abs(poly))
-                        + log(2.0 * lam - 2.0 * n - 1.0)
-                        - lgamma(2.0 * lam - n))
-                first = exp(expo) * (1.0 if poly > 0 else -1.0)
-            s[i, i] = (first
-                       + 2.0 * regularized_gamma_Q(2.0 * lam - 2.0 * n - 1.0,
-                                                   2.0 * lam) - 1.0)
-        else:
-            s[i, i] = _morse_diag_quadrature(lam, n)
-        for j in range(i + 1, dim):
-            m = int(indices[j])
+def _morse_diag(lam, n):
+    """<n|sgn(X)|n>: the closed form in P^n(lambda) for n <= 7, else
+    quadrature."""
+    if n > 7:
+        return _morse_diag_quadrature(lam, n)
+    poly = morse_diag_polynomial(n, lam)
+    first = 0.0
+    if poly != 0.0:
+        expo = (log(4.0) + (2.0 * lam - 2.0 * n - 1.0) * log(2.0 * lam)
+                - 2.0 * lam + log(abs(poly))
+                + log(2.0 * lam - 2.0 * n - 1.0)
+                - lgamma(2.0 * lam - n))
+        first = exp(expo) * (1.0 if poly > 0 else -1.0)
+    return (first
+            + 2.0 * regularized_gamma_Q(2.0 * lam - 2.0 * n - 1.0, 2.0 * lam)
+            - 1.0)
 
-            def coupling(k):
-                return (lam / (lam - k)) * sqrt(
-                    k * (2.0 * lam - k) * (lam - k - 0.5) / (lam - k + 0.5))
 
-            pref = 2.0 / ((n - m) * (2.0 * lam - (1.0 + n + m)))
-            term = -(n - m) * (1.0 + lam * lam / ((lam - n) * (lam - m))) \
-                * psi0[n] * psi0[m]
-            if n > 0:
-                term -= coupling(n) * psi0[n - 1] * psi0[m]
-            if m > 0:
-                term += coupling(m) * psi0[n] * psi0[m - 1]
-            val = pref * term
-            s[i, j] = val
-            s[j, i] = val
+def _morse_sgn(lam, ns):
+    """Full Morse sgn matrix; the off-diagonal entries are closed forms in
+    the values psi_n(0)."""
+    psi = np.array([_morse_value(lam, k, 0.0) for k in range(ns.max() + 1)])
+    k = np.arange(1, len(psi))
+    # coupling(k) psi_(k-1)(0), zero for k = 0
+    lower = np.zeros_like(psi)
+    lower[1:] = ((lam / (lam - k))
+                 * np.sqrt(k * (2.0 * lam - k) * (lam - k - 0.5)
+                           / (lam - k + 0.5)) * psi[:-1])
+    s = np.diag([_morse_diag(lam, int(n)) for n in ns])
+    i, j = np.triu_indices(len(ns), 1)
+    n, m = ns[i], ns[j]
+    pref = 2.0 / ((n - m) * (2.0 * lam - (1.0 + n + m)))
+    term = (-(n - m) * (1.0 + lam * lam / ((lam - n) * (lam - m)))
+            * psi[n] * psi[m] - lower[n] * psi[m] + lower[m] * psi[n])
+    s[i, j] = s[j, i] = pref * term
     return s
-
-
-def _well_sgn(indices):
-    ns = np.asarray(indices, dtype=int)
-    n = ns[:, None].astype(float)
-    m = ns[None, :].astype(float)
-    opposite = (ns[:, None] % 2) != (ns[None, :] % 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (2.0 / pi) * (1.0 / (n + m)
-                             + np.where(ns[:, None] % 2 == 1, -1.0, 1.0)
-                             / (n - m))
-    return np.where(opposite, vals, 0.0)
 
 
 def _quadrature_domain(model, n, m):
@@ -449,22 +397,33 @@ _CHECK_INDEX_CAP = 300  # quadrature oracle is reliable below this index
 def sgn_matrix(model, indices, energies=None, check=True):
     """Real symmetric <E_n|sgn(Q)|E_n'> on the given level indices.
 
+    In a parity-even model only levels of opposite index parity couple: the
+    model supplies the (even x odd) block, placed here with its transpose.
+
     With ``check`` enabled, a handful of entries are re-derived by direct
     quadrature of sgn(q) psi_n psi_n'; disagreement beyond 1e-6 raises
     NumericalInstabilityError rather than being silently accepted.
     """
     indices = np.asarray(indices, dtype=int)
-    kind = model.kind
-    if kind in (models.HARMONIC, models.KERR):
-        s = _harmonic_sgn(indices)
-    elif kind == models.PENDULUM:
-        if energies is None:
-            energies = pendulum_energy(model, indices)
-        s = _pendulum_sgn(model, indices, energies)
-    elif kind == models.MORSE:
-        s = _morse_sgn(model, indices)
+    if not model.is_even_potential:
+        s = _morse_sgn(model.lambda_morse, indices)
     else:
-        s = _well_sgn(indices)
+        s = np.zeros((len(indices), len(indices)))
+        even = np.flatnonzero(indices % 2 == 0)
+        odd = np.flatnonzero(indices % 2 == 1)
+        if len(even) and len(odd):
+            if model.kind == models.PENDULUM:
+                if energies is None:
+                    energies = pendulum_energy(model, indices)
+                block = _pendulum_block(model, indices,
+                                        np.asarray(energies, dtype=float),
+                                        even, odd)
+            elif model.kind == models.WELL:
+                block = _well_block(indices[even], indices[odd])
+            else:
+                block = _harmonic_block(indices[even], indices[odd])
+            s[np.ix_(even, odd)] = block
+            s[np.ix_(odd, even)] = block.T
 
     if check:
         small = [i for i, n in enumerate(indices) if n <= _CHECK_INDEX_CAP]

@@ -38,6 +38,15 @@ class TestEnergies:
         assert np.all(np.diff(es) > 0)
         assert es[-1] <= lam / 2.0  # all below dissociation
 
+    def test_morse_threshold_level_is_not_bound(self):
+        # at half-integer lambda the level n = lambda - 1/2 sits at E = De
+        assert spectra.morse_level_count(1.5) == 1
+        assert spectra.morse_level_count(5.5) == 5
+        mdl = models.morse(5.5)
+        slc = spectra.spectrum_slice(mdl, energy_window(mdl, 1.0))
+        assert slc.indices == (0, 1, 2, 3, 4)
+        assert 0.0 <= protocol.max_score(slc, 1.0).p3_max <= 1.0
+
     def test_pendulum_energy_vs_scipy(self):
         mdl = models.pendulum(-0.05)
         q = -1.0 / (4.0 * mdl.alpha) ** 2
@@ -109,11 +118,10 @@ class TestMorsePolynomials:
     @pytest.mark.parametrize("lam", [5.0, 10.0, 20.0])
     def test_diag_closed_form_vs_mpmath(self, lam):
         # Pr[x > 0] = N^2 int_{2 lam}^inf z^(a-1) e^-z L_n^(a)(z)^2 dz with
-        # z = 2 lam e^x; evaluated in high precision, this pins the
-        # polynomial-path diagonal to ~1e-12.
+        # z = 2 lam e^x; evaluated in high precision, this pins every bound
+        # level's diagonal, polynomial (n <= 7) and quadrature, to ~1e-12.
         mdl = models.morse(lam)
-        count = spectra.morse_level_count(lam)
-        idx = np.arange(min(8, count))
+        idx = np.arange(spectra.morse_level_count(lam))
         s = spectra.sgn_matrix(mdl, idx, check=False)
         with mpmath.workdps(40):
             for n in idx:
@@ -146,6 +154,27 @@ class TestSgn:
             ref = float(2 * mpmath.quad(lambda x: psi(n, x) * psi(m, x),
                                         [0, mpmath.inf]))
             assert abs(s[n, m] - ref) < 1e-12
+
+    @pytest.mark.parametrize("e,o", [(0, 2049), (1024, 1025), (2000, 6001)])
+    def test_harmonic_far_levels_vs_exact_binomials(self, e, o):
+        # a_e b_o (-1)^floor((d-1)/2) / d, d = o - e, c_k = C(k, k/2) / 2^k
+        with mpmath.workdps(40):
+            c_e = mpmath.binomial(e, e // 2) / mpmath.mpf(2) ** e
+            c_o = (mpmath.binomial(o - 1, (o - 1) // 2)
+                   / mpmath.mpf(2) ** (o - 1))
+            d = o - e
+            ref = float((-1) ** ((d - 1) // 2)
+                        * mpmath.sqrt(c_e * 2 * o / mpmath.pi * c_o) / d)
+        s = spectra.sgn_matrix(models.harmonic(), [e, o], check=False)
+        assert s[0, 1] == s[1, 0]
+        assert abs(s[0, 1] - ref) <= 1e-13 * abs(ref)
+
+    def test_harmonic_offset_window_is_a_sub_block(self):
+        full = spectra.sgn_matrix(models.harmonic(), np.arange(120),
+                                  check=False)
+        part = spectra.sgn_matrix(models.harmonic(), np.arange(37, 120),
+                                  check=False)
+        assert np.array_equal(part, full[37:, 37:])
 
     def test_even_models_zero_diagonal(self):
         for mdl in (models.harmonic(), models.pendulum(-0.05),
