@@ -229,7 +229,10 @@ def cmd_score(args):
         window = energy_window(model, args.tau)
         slc = cached_slice(model, window, cache)
         result = protocol.max_score(slc, args.tau, window=window)
-    _emit(json.dumps(result.to_json_dict(), indent=2), args.output)
+    record = result.to_json_dict()
+    if record["window"] is not None:
+        record["window"] = [_json_safe(e) for e in record["window"]]
+    _emit(json.dumps(record, indent=2), args.output)
     return 0
 
 

@@ -3,7 +3,8 @@
 Each round picks one of the three probing times uniformly at random,
 evolves the state's amplitudes by the free phases, samples a sharp
 position measurement from the resulting density by inverse-CDF on a
-grid, and scores whether the position came out positive.
+grid, and scores whether the position came out positive. Only sgn(q) is
+scored, so most rounds are classified by their CDF value alone.
 """
 
 import json
@@ -13,7 +14,7 @@ from math import pi, sqrt
 import numpy as np
 
 from . import models, spectra
-from .classical import pos
+from .classical import POS_BOUNDARY_TOL, pos
 from .errors import ConvergenceError, DomainError
 from .numerics import RealGrid
 
@@ -144,16 +145,34 @@ def _chunk_plan(n_rounds):
     return plan
 
 
-def _chunk_stats(samplers, seed, chunk, m):
+def _sign_bounds(samplers):
+    """(u_neg, u_pos) per probing time: u <= u_neg samples q < -tol and
+    u >= u_pos samples q > tol. Inside a segment ``sample_positions`` is
+    monotone and starts at the left knot but may pass the right one by a few
+    ulps, hence one knot of margin past the last q < -tol and first q > tol.
+    """
+    bounds = []
+    for cdf, qs in samplers:
+        lo = np.searchsorted(qs, -POS_BOUNDARY_TOL) - 2
+        hi = np.searchsorted(qs, POS_BOUNDARY_TOL, side="right") + 1
+        bounds.append((cdf[lo] if lo >= 0 else -1.0,
+                       cdf[hi] if hi < cdf.size else 2.0))
+    return np.array(bounds).T
+
+
+def _chunk_stats(samplers, bounds, seed, chunk, m):
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
     ks = rng.integers(0, 3, size=m)
     us = rng.random(size=m)
-    scores = np.empty(m)
-    for k in range(3):
-        mask = ks == k
-        scores[mask] = pos(sample_positions(samplers[k], us[mask]))
-    return float(np.sum(scores)), float(np.sum(scores * scores))
+    u_neg, u_pos = bounds[0][ks], bounds[1][ks]
+    n_pos = np.count_nonzero(us >= u_pos)
+    band = (us > u_neg) & (us < u_pos)
+    ks, us = ks[band], us[band]
+    # scores are multiples of 1/2, so both sums are exact in any order
+    scores = np.concatenate([pos(sample_positions(samplers[k], us[ks == k]))
+                             for k in range(3)])
+    return n_pos + float(np.sum(scores)), n_pos + float(np.sum(scores * scores))
 
 
 def run_protocol(state, tau, n_rounds, seed, workers=1):
@@ -167,14 +186,15 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
     if n_rounds < 1:
         raise DomainError("n_rounds must be positive")
     samplers = _cdf_samplers(state, tau)
+    bounds = _sign_bounds(samplers)
     plan = _chunk_plan(n_rounds)
     if workers > 1 and len(plan) > 1:
         import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
             stats = list(ex.map(
-                lambda cm: _chunk_stats(samplers, seed, cm[0], cm[1]), plan))
+                lambda cm: _chunk_stats(samplers, bounds, seed, *cm), plan))
     else:
-        stats = [_chunk_stats(samplers, seed, c, m) for c, m in plan]
+        stats = [_chunk_stats(samplers, bounds, seed, c, m) for c, m in plan]
     total = 0.0
     total_sq = 0.0
     for s, s2 in stats:  # fixed summation order by chunk index

@@ -1,13 +1,14 @@
 """Shared fixtures and independent oracles: overlap and trapping-time
-quadratures and a fine-step trajectory integrator."""
+quadratures, a fine-step trajectory integrator, and per-round reference
+reductions for the sign-only sampling kernels."""
 
 from math import inf, pi, sqrt
 
 import numpy as np
 import pytest
 
-from dyncert import models, protocol
-from dyncert.classical import TrappingTimes
+from dyncert import classical, models, protocol, simulate
+from dyncert.classical import TrappingTimes, pos
 from dyncert.numerics import quad_inverse_sqrt
 
 
@@ -168,3 +169,55 @@ def yoshida_trajectory(model, q0, p0, t):
                    else _morse_force_and_mass(model))
     n = int(np.ceil(_YOSHIDA_STEPS_PER_UNIT * abs(t)))
     return _yoshida4(q0, p0, 1.0 / mass, force, 2.0 * pi * t, n)
+
+
+# ---------------------------------------------------------------------------
+# per-round references for the sign-only sampling kernels
+# ---------------------------------------------------------------------------
+
+def chunk_stats_reference(samplers, seed, chunk, m):
+    """(sum, sum of squares) of one Monte Carlo chunk, every round sampled
+    to a position by np.interp and scored by the float pos()."""
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
+    ks = rng.integers(0, 3, size=m)
+    us = rng.random(size=m)
+    scores = np.empty(m)
+    for k in range(3):
+        mask = ks == k
+        scores[mask] = pos(simulate.sample_positions(samplers[k], us[mask]))
+    return float(np.sum(scores)), float(np.sum(scores * scores))
+
+
+def run_protocol_reference(monkeypatch, state, tau, n_rounds, seed):
+    """``simulate.run_protocol`` with every chunk scored per round."""
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "_chunk_stats",
+                   lambda samplers, bounds, seed, chunk, m:
+                   chunk_stats_reference(samplers, seed, chunk, m))
+        return simulate.run_protocol(state, tau, n_rounds, seed)
+
+
+def oracle_with_reference(monkeypatch, model, window, tau, n_samples, seed,
+                          batch_size=100_000):
+    """The oracle's value and the float-pos reduction of the very states it
+    flows: max over samples of [pos(q0) + pos(q(tau/3)) + pos(q(2tau/3))]/3."""
+    batches = []
+    flow = classical._flow
+
+    def recording_flow(model, q0, p0, times):
+        out = list(flow(model, q0, p0, times))
+        batches.append([np.array(q0, dtype=float)] + [q for q, _ in out])
+        return iter(out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(classical, "_flow", recording_flow)
+        value = classical.classical_score_oracle(model, window, tau, n_samples,
+                                                 seed, batch_size=batch_size)
+    ref = 0.0
+    for qs in batches:
+        score = pos(qs[0])
+        for q in qs[1:]:
+            score = score + pos(q)
+        ref = max(ref, float(np.max(score)) / 3.0)
+    return value, ref

@@ -11,8 +11,9 @@ from dyncert.classical import (EnergyWindow, classical_score_oracle,
                                energy_window, hamiltonian_value,
                                integrate_trajectory, pos, trapping_times)
 from dyncert.errors import (DomainError, EmptyWindowError, LibrationError,
-                            UnsupportedTauError)
-from conftest import trapping_times_quadrature, yoshida_trajectory
+                            NumericalInstabilityError, UnsupportedTauError)
+from conftest import (oracle_with_reference, trapping_times_quadrature,
+                      yoshida_trajectory)
 
 
 def morse_bound_position(model, e, t):
@@ -178,6 +179,26 @@ class TestTrajectories:
             (q, p), = classical._flow(mdl, qs, ps, [t])
             assert integrate_trajectory(mdl, q0, p0, t) == (q[-1], p[-1])
 
+    def test_well_fold_is_np_mod(self):
+        # x - 2 floor(x/2) rounds once, as np.mod(x, 2) does: bit-identical
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            [-0.0, 0.0, 2.0, -2.0, 4.0, -4.0, 3.0, -3.0, 1e300, -1e300,
+             2.0 ** 53, -(2.0 ** 53 - 1.0), np.nextafter(2.0, 0.0),
+             np.nextafter(-2.0, 0.0), -1e-300, 1e-300],
+            rng.uniform(-1e6, 1e6, 1000), rng.uniform(-3.0, 3.0, 1000)])
+        assert (x - 2.0 * np.floor(0.5 * x)).tobytes() == np.mod(x, 2.0).tobytes()
+        q0 = rng.uniform(-0.5, 0.5, 1000)
+        p0 = np.concatenate([[-0.0, 0.0, 1e12, -1e12],
+                             rng.uniform(-50.0, 50.0, 996)])
+        times = [0.3, 1.0, 7.25]
+        for t, (q, p) in zip(times, classical._flow(models.infinite_well(),
+                                                      q0, p0, times)):
+            y = np.mod(q0 + p0 * t + 0.5, 2.0)
+            below = y <= 1.0
+            assert q.tobytes() == np.where(below, y - 0.5, 1.5 - y).tobytes()
+            assert p.tobytes() == np.where(below, p0, -p0).tobytes()
+
     def test_well_rejects_position_outside(self):
         with pytest.raises(DomainError):
             integrate_trajectory(models.infinite_well(), 0.6, 1.0, 0.1)
@@ -283,6 +304,53 @@ class TestClassicalOracle:
         classical_score_oracle(mdl, energy_window(mdl, tau), tau, 25_000,
                                seed=0, batch_size=10_000)
         assert flowed == [10_000, 10_000, 5_000]
+
+    @pytest.mark.parametrize("mdl,window,tau,n", [
+        (models.harmonic(), EnergyWindow(0.0, 50.0), 1.0, 50_000),
+        (models.harmonic(), EnergyWindow(0.1, 5.0), 3.0, 50_000),
+        (models.kerr(-0.1), energy_window(models.kerr(-0.1), 1.0), 1.0, 50_000),
+        (models.pendulum(-0.05), energy_window(models.pendulum(-0.05), 1.0),
+         1.0, 10_000),
+        (models.morse(8.0), EnergyWindow(0.0, 50.0), 1.0, 50_000),
+        (models.infinite_well(), energy_window(models.infinite_well(), 0.4),
+         0.4, 50_000),
+        (models.infinite_well(), EnergyWindow(0.5, 30.0), 0.4, 50_000),
+    ])
+    def test_half_counts_match_float_pos(self, mdl, window, tau, n,
+                                         monkeypatch):
+        value, ref = oracle_with_reference(monkeypatch, mdl, window, tau, n,
+                                           seed=3, batch_size=n // 2 - 1)
+        assert value == ref
+
+    @pytest.mark.parametrize("c1,c2", [
+        (-1.0, -1.0), (-1e-12, 1e-12), (0.0, -2e-12), (2e-12, -0.0),
+        (1e-12, 1.0), (-1e-12, -1.0)])
+    def test_boundary_positions_match_float_pos(self, c1, c2, monkeypatch):
+        def fixed_flow(model, q0, p0, times):
+            yield np.full_like(q0, c1), p0
+            yield np.full_like(q0, c2), p0
+
+        monkeypatch.setattr(classical, "_flow", fixed_flow)
+        mdl = models.harmonic()
+        value, ref = oracle_with_reference(monkeypatch, mdl,
+                                           energy_window(mdl, 1.0), 1.0,
+                                           1000, seed=0)
+        assert value == ref == (1.0 + pos(c1) + pos(c2)) / 3.0
+
+    def test_non_finite_position_raises(self, monkeypatch):
+        flow = classical._flow
+
+        def nan_flow(model, q0, p0, times):
+            for q, p in flow(model, q0, p0, times):
+                q = q.copy()
+                q[-1] = np.nan
+                yield q, p
+
+        monkeypatch.setattr(classical, "_flow", nan_flow)
+        with pytest.raises(NumericalInstabilityError):
+            classical_score_oracle(models.harmonic(),
+                                   energy_window(models.harmonic(), 1.0),
+                                   1.0, 1000, seed=0)
 
     def test_window_with_no_area_raises(self):
         with pytest.raises(EmptyWindowError):

@@ -49,6 +49,17 @@ class TestScore:
         assert code == 0
         assert abs(json.loads(out)["p3_max"] - 0.687) < 1e-3
 
+    def test_unbounded_window_is_strict_json(self, capsys, monkeypatch):
+        monkeypatch.delenv("DYNCERT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "score", "--model", "morse", "--lambda",
+                           "5.5", "--tau", "1")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert json.loads(out, parse_constant=reject)["window"] == [0.0, "inf"]
+
     def test_scenario_ordered(self, capsys):
         code, out, _ = run(capsys, "score", "--model", "kerr", "--alpha",
                            "-0.02", "--scenario", "--nhat", "6")

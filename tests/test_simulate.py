@@ -5,8 +5,9 @@ import pytest
 import scipy.stats as sst
 
 from dyncert import models, protocol, simulate, spectra
-from dyncert.classical import energy_window
+from dyncert.classical import POS_BOUNDARY_TOL, energy_window
 from dyncert.errors import DomainError
+from conftest import chunk_stats_reference, run_protocol_reference
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,69 @@ class TestRunProtocol:
         import json
         d = json.loads(est.to_json())
         assert set(d) == {"seed", "n_rounds", "p3_hat", "stderr"}
+
+
+def _optimal_state(mdl, tau):
+    win = energy_window(mdl, tau)
+    slc = spectra.spectrum_slice(mdl, win, check=False)
+    return protocol.max_score(slc, tau, window=win).state
+
+
+class TestSignOnlyKernel:
+    """Scoring by sgn(q) alone must reproduce, bit for bit, every round
+    sampled to a position and scored by pos()."""
+
+    @pytest.fixture(scope="class", params=[
+        "harmonic-psi6", "kerr+0.02", "kerr-0.02", "well", "morse5", "morse20"])
+    def state_tau(self, request):
+        name = request.param
+        if name == "harmonic-psi6":
+            slc = protocol.truncated_slice(models.harmonic(), 6, check=False)
+            return protocol.reference_state("psi6", slc), 1.0
+        mdl, tau = {"kerr+0.02": (models.kerr(0.02), 1.0),
+                    "kerr-0.02": (models.kerr(-0.02), 1.0),
+                    "well": (models.infinite_well(), 0.4),
+                    "morse5": (models.morse(5.0), 1.0),
+                    "morse20": (models.morse(20.0), 1.0)}[name]
+        return _optimal_state(mdl, tau), tau
+
+    def test_morse_grid_has_a_knot_at_zero(self):
+        state = _optimal_state(models.morse(5.0), 1.0)
+        assert np.any(simulate.position_grid(state) == 0.0)
+
+    @pytest.mark.parametrize("seed", [4, 2**40 + 7])
+    def test_chunk_stats_match_reference(self, state_tau, seed):
+        state, tau = state_tau
+        samplers = simulate._cdf_samplers(state, tau)
+        bounds = simulate._sign_bounds(samplers)
+        for chunk, m in [(0, simulate.CHUNK_ROUNDS), (3, 1000)]:
+            assert (simulate._chunk_stats(samplers, bounds, seed, chunk, m)
+                    == chunk_stats_reference(samplers, seed, chunk, m))
+
+    @pytest.mark.parametrize("seed", [4, 2**40 + 7])
+    def test_estimate_matches_reference(self, state_tau, seed, monkeypatch):
+        state, tau = state_tau
+        n = 2 * simulate.CHUNK_ROUNDS + 999
+        ref = run_protocol_reference(monkeypatch, state, tau, n, seed)
+        assert simulate.run_protocol(state, tau, n, seed) == ref
+
+    def test_rounds_inside_the_band_fall_back(self):
+        # knots within the boundary tolerance of q = 0 put most rounds
+        # between u_neg and u_pos; one sampler lies all above, one all below
+        tol = POS_BOUNDARY_TOL
+        cdf = np.linspace(0.0, 1.0, 11)
+        samplers = [
+            (cdf, np.array([-2.0, -1.0, -10 * tol, -tol, -0.5 * tol, 0.0,
+                            0.5 * tol, tol, 10 * tol, 1.0, 2.0])),
+            (cdf, np.linspace(0.5, 1.0, 11)),
+            (cdf, np.linspace(-1.0, 0.0, 11)),
+        ]
+        bounds = simulate._sign_bounds(samplers)
+        assert list(bounds[0]) == [cdf[1], -1.0, cdf[8]]
+        assert list(bounds[1]) == [cdf[9], cdf[1], 2.0]
+        for seed in (0, 1):
+            stats = simulate._chunk_stats(samplers, bounds, seed, 0, 50_000)
+            assert stats == chunk_stats_reference(samplers, seed, 0, 50_000)
 
 
 class TestSampler:

@@ -253,6 +253,12 @@ class TestSpectrumSlice:
         with pytest.raises(DomainError, match="symmetric"):
             spectra.SpectrumSlice.load(path, mdl)
 
+    def test_nan_sgn_rejected(self):
+        sgn = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(DomainError, match="symmetric"):
+            spectra.SpectrumSlice(models.harmonic(), (0, 1),
+                                  np.array([0.5, 1.5]), sgn)
+
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
             spectra.SpectrumSlice(models.harmonic(), (0, 1),
