@@ -27,8 +27,8 @@ print("\nThe three probing-time densities coincide for this state "
 qs = np.linspace(-6, 6, 1201)
 d0 = simulate.marginal_density(psi6, 0.0, 1.0, qs)
 d1 = simulate.marginal_density(psi6, 1.0 / 3.0, 1.0, qs)
-print(f"  max |rho_0 - rho_1| = {np.max(np.abs(d0.values - d1.values)):.2e}")
-print(f"  positive-side mass  = {np.trapezoid(d0.values[qs >= 0], qs[qs >= 0]):.6f}")
+print(f"  max |rho_0 - rho_1| = {np.max(np.abs(d0 - d1)):.2e}")
+print(f"  positive-side mass  = {np.trapezoid(d0[qs >= 0], qs[qs >= 0]):.6f}")
 
 q_axis, p_axis = phasespace.default_axes(psi6, n_q=121, n_p=121)
 grid = phasespace.wigner_cartesian(psi6, q_axis, p_axis)

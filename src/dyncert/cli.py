@@ -133,13 +133,23 @@ def _state_for(args, model):
         return protocol.reference_state(spec_str, slc)
     if spec_str.startswith("file:"):
         data = json.loads(Path(spec_str[5:]).read_text())
+        if not (isinstance(data, dict)
+                and {"indices", "amplitudes"} <= data.keys()):
+            raise DomainError("state file must be a JSON object with "
+                              "'indices' and 'amplitudes'")
         if data.get("model") not in (None, model.describe()):
             raise DomainError("state file was produced for a different model")
         indices = np.array(data["indices"], dtype=int)
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+        if len(amps) != len(indices):
+            raise DomainError("state file needs one amplitude per index")
         slc = protocol.truncated_slice(model, int(indices.max()), check=False)
         full = np.zeros(slc.dim, dtype=complex)
         pos_of = {int(n): i for i, n in enumerate(slc.indices)}
+        absent = sorted(set(indices.tolist()) - set(pos_of))
+        if absent:
+            raise DomainError(f"state file levels {absent} are not levels "
+                              f"of {model.describe()}")
         for n, a in zip(indices, amps):
             full[pos_of[int(n)]] = a
         full /= np.linalg.norm(full)
@@ -198,7 +208,6 @@ def _tau_grid(args):
 
 def cmd_score(args):
     model = build_model(args)
-    cache = _cache_dir(args)
     if args.scenario:
         if args.nhat is None:
             raise DomainError("--scenario requires --nhat")
@@ -227,7 +236,7 @@ def cmd_score(args):
         result = protocol.max_score(slc, args.tau)
     else:
         window = energy_window(model, args.tau)
-        slc = cached_slice(model, window, cache)
+        slc = cached_slice(model, window, _cache_dir(args))
         result = protocol.max_score(slc, args.tau, window=window)
     record = result.to_json_dict()
     if record["window"] is not None:
@@ -278,7 +287,7 @@ def cmd_wigner(args):
     for k, frac in enumerate((0.0, 1.0 / 3.0, 2.0 / 3.0)):
         dens = simulate.marginal_density(state, frac, args.tau, marg_axis)
         lines = ["q,density"] + [f"{q!r},{v!r}"
-                                 for q, v in zip(dens.points, dens.values)]
+                                 for q, v in zip(marg_axis, dens)]
         (out_dir / f"marginal-t{k}.csv").write_text("\n".join(lines) + "\n")
     return 0
 

@@ -1,41 +1,16 @@
 """Special functions, singular quadrature, and the Hermitian eigensolver.
 
 Everything here is implemented at double precision on top of elementary
-functions (plus ``math.lgamma``), so results are reproducible across
-platforms and can be checked against independent oracles.
+functions, so results are reproducible across platforms and can be
+checked against independent oracles.
 """
 
 from dataclasses import dataclass
-from math import lgamma, log, exp, pi, sqrt, isfinite, inf
+from math import pi, sqrt, isfinite, inf
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-
-
-# ---------------------------------------------------------------------------
-# domain types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RealGrid:
-    """Real samples aligned to strictly increasing abscissae."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if points.ndim != 1 or values.shape != points.shape:
-            raise DomainError("points and values must be 1-d and the same length")
-        if not np.all(np.diff(points) > 0):
-            raise DomainError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
-
-    def integral(self):
-        return float(np.trapezoid(self.values, self.points))
 
 
 # ---------------------------------------------------------------------------
@@ -113,63 +88,6 @@ def jacobi_sn_cn_dn(u, m):
 
 
 # ---------------------------------------------------------------------------
-# regularized upper incomplete gamma function
-# ---------------------------------------------------------------------------
-
-def regularized_gamma_Q(a, x):
-    """Q(a, x) = Gamma(a, x)/Gamma(a), for a > 0, x >= 0.
-
-    Series for the lower function when x < a + 1, Lentz continued fraction
-    for the upper function otherwise (the classic split, accurate to
-    ~1e-14 absolute across the domain).
-    """
-    if a <= 0:
-        raise DomainError(f"regularized_gamma_Q requires a > 0, got a={a}")
-    if x < 0:
-        raise DomainError(f"regularized_gamma_Q requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        # lower series: P(a,x) = x^a e^-x / Gamma(a) * sum x^n / (a)_{n+1}
-        ap = a
-        term = 1.0 / a
-        total = term
-        for _ in range(10000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        else:
-            raise ConvergenceError("regularized_gamma_Q series did not converge")
-        p = total * exp(-x + a * log(x) - lgamma(a))
-        return 1.0 - p
-    # Lentz's method on the continued fraction for Gamma(a,x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise ConvergenceError("regularized_gamma_Q continued fraction did not converge")
-    return h * exp(-x + a * log(x) - lgamma(a))
-
-
-# ---------------------------------------------------------------------------
 # generalized Laguerre polynomials
 # ---------------------------------------------------------------------------
 
@@ -199,12 +117,10 @@ def laguerre(n, a, z):
 
 @dataclass(frozen=True)
 class MathieuSolution:
-    """One pi-normalized Mathieu function ce_n or se_n.
+    """One pi-normalized, pi-periodic Mathieu function ce_n or se_n (n even).
 
-    ``coeffs[j]`` multiplies cos(stride(j) u) or sin(stride(j) u) where the
-    harmonic stride(j) runs over the symmetry class of the order:
-    2j (ce even), 2j+1 (ce/se odd), 2j+2 (se even). Normalization is the
-    standard int_0^{2pi} f^2 du = pi.
+    ``coeffs[j]`` multiplies cos(2j u) for ce or sin((2j+2) u) for se.
+    Normalization is the standard int_0^{2pi} f^2 du = pi.
     """
 
     order: int
@@ -213,10 +129,7 @@ class MathieuSolution:
     coeffs: np.ndarray
 
     def _strides(self):
-        if self.parity == "even":
-            base = 0 if self.order % 2 == 0 else 1
-        else:
-            base = 2 if self.order % 2 == 0 else 1
+        base = 0 if self.parity == "even" else 2
         return base + 2 * np.arange(len(self.coeffs))
 
     def value(self, u):
@@ -259,29 +172,15 @@ def _compensated_dot(basis, coeffs):
     return total
 
 
-def _mathieu_tridiag(q_param, parity, even_order, size):
-    """Symmetric matrix whose eigenvalues are the characteristic values."""
-    m = np.zeros((size, size))
-    if parity == "even" and even_order:
-        d = (2.0 * np.arange(size)) ** 2
-        np.fill_diagonal(m, d)
+def _mathieu_tridiag(q_param, base, size):
+    """Symmetric matrix whose eigenvalues are the characteristic values of
+    one pi-periodic class: diagonal (2j + base)^2, with base 0 and a
+    sqrt(2) first coupling for ce, base 2 for se."""
+    j = np.arange(size)
+    m = np.diag((2.0 * j + base) ** 2)
+    m[j[:-1], j[1:]] = m[j[1:], j[:-1]] = q_param
+    if base == 0:
         m[0, 1] = m[1, 0] = sqrt(2.0) * q_param
-        for j in range(1, size - 1):
-            m[j, j + 1] = m[j + 1, j] = q_param
-    else:
-        if parity == "even":          # ce odd orders
-            d = (2.0 * np.arange(size) + 1.0) ** 2
-            d0_shift = q_param
-        elif even_order:              # se even orders
-            d = (2.0 * np.arange(size) + 2.0) ** 2
-            d0_shift = 0.0
-        else:                         # se odd orders
-            d = (2.0 * np.arange(size) + 1.0) ** 2
-            d0_shift = -q_param
-        np.fill_diagonal(m, d)
-        m[0, 0] += d0_shift
-        for j in range(size - 1):
-            m[j, j + 1] = m[j + 1, j] = q_param
     return m
 
 
@@ -301,63 +200,46 @@ TAIL_TOL = 1e-14
 MAX_FOURIER_SIZE = 4000
 
 
-def mathieu_eigensystem(q_param, n_max):
-    """2pi-periodic-in-phi Mathieu solutions ce_0..ce_{n_max}, se_1..se_{n_max+1}.
+def mathieu_eigensystem(q_param, n_levels):
+    """The pi-periodic Mathieu solutions behind pendulum levels 0..n_levels-1.
 
-    Returned list is ordered ce_0, se_1, ce_1, se_2, ... with each entry a
-    :class:`MathieuSolution`. The Fourier truncation grows until the last
-    retained coefficient of every requested solution is below 1e-14 of its
-    largest one.
+    With u = phi/2 the 2pi-periodic pendulum states are the pi-periodic
+    Mathieu functions, so level n is ce_n for even n and se_{n+1} for odd
+    n; the list holds one :class:`MathieuSolution` per level, in level
+    order. The Fourier truncation grows until the last retained
+    coefficient of every solution is below 1e-14 of its largest one.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    if n_levels < 1:
+        raise DomainError("n_levels must be >= 1")
     if not isfinite(q_param):
         raise DomainError("q_param must be finite")
 
-    n_ce = n_max + 1
-    n_se = n_max + 1  # se_1 .. se_{n_max+1}
-    size = max(16, int(2.2 * sqrt(abs(q_param))) + n_max + 16)
+    size = max(16, int(2.2 * sqrt(abs(q_param))) + n_levels + 15)
     while True:
         if size > MAX_FOURIER_SIZE:
             raise ConvergenceError(
                 f"Mathieu truncation exceeded ceiling {MAX_FOURIER_SIZE}")
-        sols = {}
-        ok = True
-        classes = [
-            ("even", True, [n for n in range(0, n_ce) if n % 2 == 0]),
-            ("even", False, [n for n in range(0, n_ce) if n % 2 == 1]),
-            ("odd", False, [n for n in range(1, n_se + 1) if n % 2 == 1]),
-            ("odd", True, [n for n in range(1, n_se + 1) if n % 2 == 0]),
-        ]
-        for parity, even_order, orders in classes:
-            if not orders:
-                continue
-            m = _mathieu_tridiag(q_param, parity, even_order, size)
-            w, v = np.linalg.eigh(m)
-            for n in orders:
-                idx = n // 2 if (parity == "even" and even_order) else \
-                    (n - 1) // 2 if parity == "even" else \
-                    (n - 1) // 2 if not even_order else n // 2 - 1
-                vec = v[:, idx].copy()
-                if parity == "even" and even_order:
-                    vec[0] /= sqrt(2.0)  # undo symmetrization; 2A0^2+sum=1
-                if abs(vec[-1]) > TAIL_TOL * np.max(np.abs(vec)):
-                    ok = False
-                    break
-                sol = MathieuSolution(n, parity, float(w[idx]), vec)
-                vec = _fix_sign(parity, vec, sol._strides())
-                sols[(parity, n)] = MathieuSolution(n, parity, float(w[idx]), vec)
-            if not ok:
+        classes = []
+        for parity, base, count in (("even", 0, (n_levels + 1) // 2),
+                                    ("odd", 2, n_levels // 2)):
+            w, v = np.linalg.eigh(_mathieu_tridiag(q_param, base, size))
+            vecs = v[:, :count].T.copy()
+            if base == 0:
+                vecs[:, 0] /= sqrt(2.0)  # undo symmetrization; 2A0^2+sum=1
+            tail = np.abs(vecs[:, -1])
+            if np.any(tail > TAIL_TOL * np.max(np.abs(vecs), axis=1)):
                 break
-        if ok:
+            strides = base + 2 * np.arange(size)
+            classes.append([
+                MathieuSolution(base + 2 * k, parity, float(w[k]),
+                                _fix_sign(parity, vec, strides))
+                for k, vec in enumerate(vecs)])
+        else:
             break
         size *= 2
 
-    out = []
-    for n in range(0, n_max + 1):
-        out.append(sols[("even", n)])
-        out.append(sols[("odd", n + 1)])
-    return out
+    ce, se = classes
+    return [ce[n // 2] if n % 2 == 0 else se[n // 2] for n in range(n_levels)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 from . import models, spectra
 from .classical import POS_BOUNDARY_TOL, pos
 from .errors import ConvergenceError, DomainError
-from .numerics import RealGrid
 
 MASS_TARGET = 1e-8
 GRID_POINTS = 4001
@@ -95,15 +94,13 @@ def _evolved_density(state, table, tau, k):
     return np.abs(psi) ** 2
 
 
-def marginal_density(state, t_fraction, tau, grid):
-    """Position density |<q|psi(k tau T/3)>|^2 on the given grid."""
+def marginal_density(state, t_fraction, tau, qs):
+    """Position density |<q|psi(k tau T/3)>|^2 at the positions ``qs``."""
     k = {0.0: 0, 1.0 / 3.0: 1, 2.0 / 3.0: 2}.get(float(t_fraction))
     if k is None:
         raise DomainError("t_fraction must be one of 0, 1/3, 2/3")
-    qs = np.asarray(grid.points if isinstance(grid, RealGrid) else grid,
-                    dtype=float)
-    table = _wavefunction_table(state, qs)
-    return RealGrid(qs, _evolved_density(state, table, tau, k))
+    qs = np.asarray(qs, dtype=float)
+    return _evolved_density(state, _wavefunction_table(state, qs), tau, k)
 
 
 def _cdf_samplers(state, tau, n_points=GRID_POINTS):

@@ -13,14 +13,13 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from math import pi, sqrt, log, exp, lgamma, isinf, floor, ceil
+from math import pi, sqrt, log, lgamma, isinf, floor, ceil
 
 import numpy as np
 
 from . import models
 from .errors import (DomainError, EmptySliceError, NumericalInstabilityError)
-from .numerics import laguerre, mathieu_eigensystem, regularized_gamma_Q
+from .numerics import laguerre, mathieu_eigensystem
 
 SGN_CHECK_TOL = 1e-6
 SCHEMA_VERSION = "dyncert.spectrum-slice.v1"
@@ -75,11 +74,8 @@ def _pendulum_solutions(model, n_levels=1):
         while len(sols) < n_levels:
             count = (2 * len(sols) if sols
                      else ceil(1.0 / (pi * abs(alpha))) + _SEPARATRIX_MARGIN)
-            table = {(s.parity, s.order): s for s in mathieu_eigensystem(
-                models.pendulum_q_parameter(model), count - 1)}
-            sols += tuple(table[("even", n)] if n % 2 == 0
-                          else table[("odd", n + 1)]
-                          for n in range(len(sols), count))
+            sols += tuple(mathieu_eigensystem(
+                models.pendulum_q_parameter(model), count)[len(sols):])
         _MATHIEU_CACHE[alpha] = sols
     return sols
 
@@ -232,39 +228,6 @@ def eigenfunction_grid(model, n, qs):
 
 
 # ---------------------------------------------------------------------------
-# Morse diagonal polynomials P^n(lambda)
-# ---------------------------------------------------------------------------
-
-_MORSE_POLYS = {
-    0: [Fraction(0)],
-    1: [Fraction(1)],
-    2: [Fraction(6), Fraction(2)],
-    3: [Fraction(180), Fraction(-42), Fraction(32, 3)],
-    4: [Fraction(6440), Fraction(-5828, 3), Fraction(190), Fraction(58, 3)],
-    5: [Fraction(347760), Fraction(-140604), Fraction(102376, 5),
-        Fraction(-4912, 5), Fraction(212, 3)],
-    6: [Fraction(23617440), Fraction(-10818312), Fraction(8950344, 5),
-        Fraction(-1726232, 15), Fraction(125644, 45), Fraction(380, 3)],
-    7: [Fraction(1979385408), Fraction(-4965563888, 5),
-        Fraction(6608820632, 35), Fraction(-5199530008, 315),
-        Fraction(73504376, 105), Fraction(-553792, 45), Fraction(1192, 3)],
-}
-
-
-def morse_diag_polynomial(n, lam):
-    """P^n(lambda), exact rational coefficients, for 0 <= n <= 7."""
-    if not 0 <= n <= 7:
-        raise DomainError(
-            f"P^n(lambda) coefficients are tabulated for n <= 7 only, got {n}")
-    total = 0.0
-    power = 1.0
-    for coeff in _MORSE_POLYS[n]:
-        total += float(coeff) * power
-        power *= lam
-    return total
-
-
-# ---------------------------------------------------------------------------
 # sgn matrix elements
 # ---------------------------------------------------------------------------
 
@@ -311,37 +274,22 @@ def _well_block(even, odd):
     return (2.0 / pi) * (1.0 / (n + m) + 1.0 / (n - m))
 
 
-def _morse_diag_quadrature(lam, n):
-    """<n|sgn(X)|n> = 2 P[x > 0] - 1 by 24-point Gauss-Legendre on 32
-    panels in t = log z over z > 2 lam."""
-    a = 2.0 * lam - 2.0 * n - 1.0
+def _morse_diag(lam, ns):
+    """<n|sgn(X)|n> = 2 P[x > 0] - 1 for each level n in ``ns``, by
+    24-point Gauss-Legendre on 32 panels in t = log z over z > 2 lam."""
     nodes, weights = np.polynomial.legendre.leggauss(24)
     edges = np.linspace(log(2.0 * lam),
                         log(2.0 * lam + 80.0 + 20.0 * sqrt(2.0 * lam)), 33)
     half = 0.5 * np.diff(edges)[:, None]
     t = edges[:-1, None] + half * (1.0 + nodes)
     z = np.exp(t)
-    lag = laguerre(n, a, z.ravel()).reshape(t.shape)
-    psi = np.exp(_morse_log_norm(lam, n) + 0.5 * (a * t - z)) * lag
-    return 2.0 * np.sum(half * weights * psi * psi) - 1.0
-
-
-def _morse_diag(lam, n):
-    """<n|sgn(X)|n>: the closed form in P^n(lambda) for n <= 7, else
-    quadrature."""
-    if n > 7:
-        return _morse_diag_quadrature(lam, n)
-    poly = morse_diag_polynomial(n, lam)
-    first = 0.0
-    if poly != 0.0:
-        expo = (log(4.0) + (2.0 * lam - 2.0 * n - 1.0) * log(2.0 * lam)
-                - 2.0 * lam + log(abs(poly))
-                + log(2.0 * lam - 2.0 * n - 1.0)
-                - lgamma(2.0 * lam - n))
-        first = exp(expo) * (1.0 if poly > 0 else -1.0)
-    return (first
-            + 2.0 * regularized_gamma_Q(2.0 * lam - 2.0 * n - 1.0, 2.0 * lam)
-            - 1.0)
+    diag = []
+    for n in ns:
+        a = 2.0 * lam - 2.0 * n - 1.0
+        lag = laguerre(n, a, z.ravel()).reshape(t.shape)
+        psi = np.exp(_morse_log_norm(lam, n) + 0.5 * (a * t - z)) * lag
+        diag.append(2.0 * np.sum(half * weights * psi * psi) - 1.0)
+    return diag
 
 
 def _morse_sgn(lam, ns):
@@ -354,7 +302,7 @@ def _morse_sgn(lam, ns):
     lower[1:] = ((lam / (lam - k))
                  * np.sqrt(k * (2.0 * lam - k) * (lam - k - 0.5)
                            / (lam - k + 0.5)) * psi[:-1])
-    s = np.diag([_morse_diag(lam, int(n)) for n in ns])
+    s = np.diag(_morse_diag(lam, [int(n) for n in ns]))
     i, j = np.triu_indices(len(ns), 1)
     n, m = ns[i], ns[j]
     pref = 2.0 / ((n - m) * (2.0 * lam - (1.0 + n + m)))

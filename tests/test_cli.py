@@ -134,6 +134,24 @@ class TestSimulate:
         d = json.loads(out)
         assert abs(d["p3_hat"] - score["p3_max"]) < 4 * d["stderr"]
 
+    @pytest.mark.parametrize("command", ["simulate", "wigner"])
+    @pytest.mark.parametrize("state", [
+        {"indices": [1, 2]},                                  # no amplitudes
+        {"amplitudes": [[1.0, 0.0]]},                         # no indices
+        {"indices": [0, 1], "amplitudes": [[1.0, 0.0]] * 2},  # no well level 0
+        {"indices": [1, 2], "amplitudes": [[1.0, 0.0]]},      # one too few
+        [1, 2],                                               # not an object
+    ])
+    def test_bad_state_file_exit_2(self, capsys, tmp_path, command, state):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        extra = ["--rounds", "10"] if command == "simulate" else []
+        code, out, err = run(capsys, command, "--model", "well", "--tau",
+                             "0.4", "--state", f"file:{path}",
+                             "--output", str(tmp_path / "out"), *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
 
 class TestWigner:
     def test_writes_grid_and_marginals(self, capsys, tmp_path):
@@ -163,6 +181,21 @@ class TestCacheAndConfig:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert any(p.name.startswith("slice-") for p in cache.iterdir())
+
+    @pytest.mark.parametrize("mode", [
+        ["--tau", "1", "--nmax", "6"],
+        ["--scan", "--nmax", "6", "--tau-min", "0.9", "--tau-max", "1.1",
+         "--tau-points", "3"],
+        ["--scenario", "--nhat", "6", "--model", "kerr", "--alpha", "0.02"],
+    ])
+    def test_cache_dir_only_for_window_slices(self, capsys, tmp_path,
+                                              monkeypatch, mode):
+        monkeypatch.delenv("DYNCERT_CACHE_DIR", raising=False)
+        cache = tmp_path / "cache"
+        code, _, _ = run(capsys, "score", "--model", "harmonic", *mode,
+                         "--cache", str(cache))
+        assert code == 0
+        assert not cache.exists()
 
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

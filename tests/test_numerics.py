@@ -8,22 +8,10 @@ import pytest
 import scipy.special as sps
 
 from dyncert.errors import ConvergenceError, DomainError
-from dyncert.numerics import (DENSE_EIG_LIMIT, HermitianOperator,
-                              RealGrid, _lanczos,
+from dyncert.numerics import (DENSE_EIG_LIMIT, HermitianOperator, _lanczos,
                               elliptic_K, elliptic_K_inverse,
                               hermitian_max_eigenpair, jacobi_sn_cn_dn, laguerre,
-                              mathieu_eigensystem, quad_inverse_sqrt,
-                              regularized_gamma_Q)
-
-
-class TestRealGrid:
-    def test_integral(self):
-        xs = np.linspace(0, 1, 1001)
-        assert abs(RealGrid(xs, xs ** 2).integral() - 1 / 3) < 1e-6
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(DomainError):
-            RealGrid([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+                              mathieu_eigensystem, quad_inverse_sqrt)
 
 
 class TestEllipticK:
@@ -80,13 +68,6 @@ class TestJacobiElliptic:
             jacobi_sn_cn_dn(0.3, m)
 
 
-class TestRegularizedGammaQ:
-    @pytest.mark.parametrize("a,x", [(0.5, 0.1), (1.0, 1.0), (7.0, 3.0),
-                                     (16.0, 40.0), (39.0, 20.0), (3.0, 0.0)])
-    def test_against_scipy(self, a, x):
-        assert abs(regularized_gamma_Q(a, x) - sps.gammaincc(a, x)) < 1e-12
-
-
 class TestLaguerre:
     @pytest.mark.parametrize("n,a", [(0, 0.5), (3, 2.0), (7, 14.3), (20, 0.1)])
     def test_against_scipy(self, n, a):
@@ -98,29 +79,26 @@ class TestLaguerre:
 
 
 class TestMathieu:
+    # level n is ce_n for even n and se_(n+1) for odd n
     def test_characteristic_values(self):
         q = -6.25  # pendulum alpha = -0.1
-        sols = mathieu_eigensystem(q, 6)
-        by = {(s.parity, s.order): s for s in sols}
-        for order in (0, 2, 4):
-            a_ref = sps.mathieu_a(order, q)
-            got = by[("even", order)].char_value
-            assert abs(got - a_ref) < 1e-10 * max(1, abs(a_ref))
-        for order in (1, 2, 3):
-            b_ref = sps.mathieu_b(order, q)
-            got = by[("odd", order)].char_value
-            assert abs(got - b_ref) < 1e-10 * max(1, abs(b_ref))
+        sols = mathieu_eigensystem(q, 9)
+        assert len(sols) == 9
+        for n, sol in enumerate(sols):
+            if n % 2 == 0:
+                assert (sol.parity, sol.order) == ("even", n)
+                ref = sps.mathieu_a(n, q)
+            else:
+                assert (sol.parity, sol.order) == ("odd", n + 1)
+                ref = sps.mathieu_b(n + 1, q)
+            assert abs(sol.char_value - ref) < 1e-10 * max(1, abs(ref))
 
     def test_function_values(self):
         q = -6.25
-        by = {(s.parity, s.order): s
-              for s in mathieu_eigensystem(q, 6)}
+        sols = mathieu_eigensystem(q, 4)
         xs = np.linspace(-1.5, 1.5, 7)
-        for key, (kind, order) in [(("even", 0), ("ce", 0)),
-                                   (("odd", 2), ("se", 2)),
-                                   (("even", 2), ("ce", 2)),
-                                   (("odd", 4), ("se", 4))]:
-            sol = by[key]
+        for sol, (kind, order) in zip(sols, [("ce", 0), ("se", 2),
+                                             ("ce", 2), ("se", 4)]):
             for x in xs:
                 if kind == "ce":
                     ref, dref = sps.mathieu_cem(order, q, np.degrees(x))
@@ -135,13 +113,17 @@ class TestMathieu:
                 assert abs(got - sign * ref) < 1e-9
 
     def test_orthonormality(self):
-        sols = mathieu_eigensystem(-2.0, 5)
+        sols = mathieu_eigensystem(-2.0, 12)
         xs = np.linspace(-pi, pi, 4001)
-        vals = np.array([[s.value(x) for x in xs] for s in sols])
+        vals = np.array([s.value(xs) for s in sols])
         for i, va in enumerate(vals):
             assert abs(np.trapezoid(va * va, xs) / pi - 1.0) < 1e-7
             for vb in vals[i + 1:]:
                 assert abs(np.trapezoid(va * vb, xs)) < 1e-7
+
+    def test_rejects_no_levels(self):
+        with pytest.raises(DomainError):
+            mathieu_eigensystem(-2.0, 0)
 
 
 class TestQuadInverseSqrt:

@@ -41,7 +41,7 @@ class TestCartesian:
         qa, pa = phasespace.default_axes(psi6)
         grid = phasespace.wigner_cartesian(psi6, qa, pa)
         dens = simulate.marginal_density(psi6, 0.0, 1.0, qa)
-        assert np.max(np.abs(grid.marginal_q() - dens.values)) < 1e-4
+        assert np.max(np.abs(grid.marginal_q() - dens)) < 1e-4
 
     def test_well_marginal(self):
         slc = protocol.truncated_slice(models.infinite_well(), 4, check=False)
@@ -49,7 +49,7 @@ class TestCartesian:
         qa, pa = phasespace.default_axes(state)
         grid = phasespace.wigner_cartesian(state, qa, pa)
         dens = simulate.marginal_density(state, 0.0, 0.4, qa)
-        assert np.max(np.abs(grid.marginal_q() - dens.values)) < 1e-4
+        assert np.max(np.abs(grid.marginal_q() - dens)) < 1e-4
 
     def test_parity_symmetric_eigenstate(self):
         slc = protocol.truncated_slice(models.harmonic(), 6, check=False)
@@ -74,7 +74,7 @@ class TestAngular:
                                              pendulum_state))
         assert abs(grid.integral() - 1.0) < 1e-3
         dens = simulate.marginal_density(pendulum_state, 0.0, 1.0, phis)
-        assert np.max(np.abs(grid.marginal_q() - dens.values)) < 1e-4
+        assert np.max(np.abs(grid.marginal_q() - dens)) < 1e-4
 
     def test_negativity_present(self, pendulum_state):
         phis = np.linspace(-np.pi, np.pi, 161)

@@ -48,12 +48,12 @@ class TestEnergies:
         assert 0.0 <= protocol.max_score(slc, 1.0).p3_max <= 1.0
 
     def test_pendulum_energy_vs_scipy(self):
+        # level n is ce_n for even n and se_(n+1) for odd n
         mdl = models.pendulum(-0.05)
         q = -1.0 / (4.0 * mdl.alpha) ** 2
-        for n, (kind, order) in enumerate([("a", 0), ("b", 2), ("a", 2),
-                                           ("b", 4)]):
-            ref = (sps.mathieu_a(order, q) if kind == "a"
-                   else sps.mathieu_b(order, q)) * abs(mdl.alpha)
+        for n in range(12):
+            ref = (sps.mathieu_a(n, q) if n % 2 == 0
+                   else sps.mathieu_b(n + 1, q)) * abs(mdl.alpha)
             assert abs(spectra.pendulum_energy(mdl, n) - ref) < 1e-10
 
     def test_kerr_truncation_past_cap_names_the_level(self):
@@ -114,12 +114,43 @@ class TestEigenfunctions:
             assert abs(got - abs(ref) * np.sign(ref)) < 1e-10 * max(1, abs(ref))
 
 
+# The paper's Morse diagonal, a reference for the quadrature at n <= 7:
+# <n|sgn(X)|n> = 4 a P^n(lam) (2 lam)^a e^(-2 lam) / Gamma(2 lam - n)
+#                + 2 Q(a, 2 lam) - 1, a = 2 lam - 2n - 1,
+# with exact rational coefficients of P^n, lowest power first.
+MORSE_POLYS = {
+    0: [Fraction(0)],
+    1: [Fraction(1)],
+    2: [Fraction(6), Fraction(2)],
+    3: [Fraction(180), Fraction(-42), Fraction(32, 3)],
+    4: [Fraction(6440), Fraction(-5828, 3), Fraction(190), Fraction(58, 3)],
+    5: [Fraction(347760), Fraction(-140604), Fraction(102376, 5),
+        Fraction(-4912, 5), Fraction(212, 3)],
+    6: [Fraction(23617440), Fraction(-10818312), Fraction(8950344, 5),
+        Fraction(-1726232, 15), Fraction(125644, 45), Fraction(380, 3)],
+    7: [Fraction(1979385408), Fraction(-4965563888, 5),
+        Fraction(6608820632, 35), Fraction(-5199530008, 315),
+        Fraction(73504376, 105), Fraction(-553792, 45), Fraction(1192, 3)],
+}
+
+
+def morse_diag_closed_form(lam, n):
+    a = 2.0 * lam - 2.0 * n - 1.0
+    poly = sum(float(c) * lam ** k for k, c in enumerate(MORSE_POLYS[n]))
+    first = 0.0
+    if poly != 0.0:
+        first = np.sign(poly) * np.exp(
+            np.log(4.0 * a * abs(poly)) + a * np.log(2.0 * lam) - 2.0 * lam
+            - sps.gammaln(2.0 * lam - n))
+    return first + 2.0 * sps.gammaincc(a, 2.0 * lam) - 1.0
+
+
 class TestMorsePolynomials:
     @pytest.mark.parametrize("lam", [5.0, 10.0, 20.0])
     def test_diag_closed_form_vs_mpmath(self, lam):
         # Pr[x > 0] = N^2 int_{2 lam}^inf z^(a-1) e^-z L_n^(a)(z)^2 dz with
         # z = 2 lam e^x; evaluated in high precision, this pins every bound
-        # level's diagonal, polynomial (n <= 7) and quadrature, to ~1e-12.
+        # level's diagonal to 1e-13.
         mdl = models.morse(lam)
         idx = np.arange(spectra.morse_level_count(lam))
         s = spectra.sgn_matrix(mdl, idx, check=False)
@@ -134,11 +165,16 @@ class TestMorsePolynomials:
                     * mpmath.laguerre(n, a, z) ** 2,
                     [2 * lam, mpmath.inf])
                 ref = float(2 * norm2 * tail - 1)
-                assert abs(s[n, n] - ref) < 1e-11
+                assert abs(s[n, n] - ref) < 1e-13
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            spectra.morse_diag_polynomial(8, 10.0)
+    @pytest.mark.parametrize("lam", [0.6, 1.7, 5.5, 8.0, 12.5, 40.0])
+    def test_diag_vs_paper_polynomials(self, lam):
+        count = min(8, spectra.morse_level_count(lam))
+        s = spectra.sgn_matrix(models.morse(lam), np.arange(count),
+                               check=False)
+        for n in range(count):
+            ref = morse_diag_closed_form(lam, n)
+            assert abs(s[n, n] - ref) < 2e-13
 
 
 class TestSgn:
