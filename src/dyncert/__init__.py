@@ -7,8 +7,7 @@ states can exceed the bound.
 """
 
 from .classical import (EnergyWindow, TrappingTimes, classical_score_oracle,
-                        energy_window, integrate_trajectory, pos,
-                        trapping_times)
+                        energy_window, pos, trapping_times)
 from .errors import (ConvergenceError, DomainError, DyncertError,
                      EmptySliceError, EmptyWindowError, LibrationError,
                      NumericalInstabilityError, UnsupportedTauError)

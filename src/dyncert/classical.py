@@ -1,5 +1,5 @@
 """Classical side of the protocol: trapping times, energy windows, exact
-trajectories, and a sampling oracle for the classical score bound 2/3.
+trajectory positions, and a sampling oracle for the classical score bound 2/3.
 
 Times are in units of 2*pi/omega0 and energies in hbar*omega0 throughout.
 """
@@ -227,8 +227,7 @@ def _pendulum_flow(model, q0, p0, times):
     den = 1.0 - (sin0 * sn) ** 2
     sin_half = (sin0 * cn * dn + v0 * cos0 * sn) / den
     cos_half = (cos0 * dn - sin0 * v0 * sn * cn) / den
-    v = (v0 * cn - sin0 * cos0 * sn * dn) / den
-    yield from zip(2.0 * np.arctan2(sin_half, cos_half), v / (4.0 * a))
+    yield from 2.0 * np.arctan2(sin_half, cos_half)
 
 
 def _morse_flow(model, q0, p0, times):
@@ -247,12 +246,12 @@ def _morse_flow(model, q0, p0, times):
         sc = 2.0 * h * np.where(bound, np.cos(half), np.cosh(half))
         d = 2.0 * h * h
         c = 1.0 - w2 * d
-        y = y0 * c + dy0 * sc + d
-        yield -np.log(y), -lam * (dy0 * c + (1.0 - w2 * y0) * sc) / y
+        yield -np.log(y0 * c + dy0 * sc + d)
 
 
 def _flow(model, q0, p0, times):
-    """Yield (q, p) of a batch of initial states at each of ``times`` in turn.
+    """Yield the positions q of a batch of initial states at each of
+    ``times`` in turn; the score reads only sgn(q), so p is not evolved.
 
     Every flow is exact and evaluated at each time from the initial states:
     harmonic/Kerr precess, the well reflects off its walls (L = 1), and the
@@ -268,8 +267,7 @@ def _flow(model, q0, p0, times):
         omega = 1.0 if kind == models.HARMONIC else 1.0 + model.alpha * h0
         for t in times:
             phase = 2.0 * pi * omega * t
-            c, s = np.cos(phase), np.sin(phase)
-            yield q0 * c + p0 * s, -q0 * s + p0 * c
+            yield q0 * np.cos(phase) + p0 * np.sin(phase)
         return
 
     if kind == models.WELL:
@@ -280,18 +278,11 @@ def _flow(model, q0, p0, times):
             # form rounds once, as np.mod(x, 2.0) does, and is much faster
             x = q0 + p0 * t + 0.5
             y = x - 2.0 * np.floor(0.5 * x)
-            below = y <= 1.0
-            yield np.where(below, y - 0.5, 1.5 - y), np.where(below, p0, -p0)
+            yield np.where(y <= 1.0, y - 0.5, 1.5 - y)
         return
 
     yield from (_pendulum_flow if kind == models.PENDULUM
                 else _morse_flow)(model, q0, p0, times)
-
-
-def integrate_trajectory(model, q0, p0, t):
-    """(q, p) after time t (units 2*pi/omega0): one sample of ``_flow``."""
-    q, p = next(_flow(model, q0, p0, [t]))
-    return float(q[0]), float(p[0])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +374,7 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
         n = min(batch_size, remaining)
         q, p = in_window(n)
         score = halves(q)
-        for q_t, _ in _flow(model, q, p, times):
+        for q_t in _flow(model, q, p, times):
             score += halves(q_t)
         best = max(best, int(np.max(score)) / 6.0)
         remaining -= n

@@ -287,7 +287,8 @@ def cmd_wigner(args):
     for k, frac in enumerate((0.0, 1.0 / 3.0, 2.0 / 3.0)):
         dens = simulate.marginal_density(state, frac, args.tau, marg_axis)
         lines = ["q,density"] + [f"{q!r},{v!r}"
-                                 for q, v in zip(marg_axis, dens)]
+                                 for q, v in zip(marg_axis.tolist(),
+                                                 dens.tolist())]
         (out_dir / f"marginal-t{k}.csv").write_text("\n".join(lines) + "\n")
     return 0
 
@@ -331,33 +332,33 @@ def cmd_make_figures(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--model",
-                   choices=["harmonic", "kerr", "pendulum", "morse", "well"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
-    p.add_argument("--cache", help="slice cache directory "
-                   "(or DYNCERT_CACHE_DIR)")
-    p.add_argument("--output", help="output path (default stdout)")
-
-
 def build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name; each
+    subcommand takes only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="dyncert",
         description="Dynamics-based quantumness certification")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("bounds", help="trapping times and energy window")
-    _add_common(p)
-    p.add_argument("--energy-points", type=int, default=50)
-    p.set_defaults(func=cmd_bounds)
+    def command(name, help, func, model=True):
+        p = subs.add_parser(name, help=help)
+        if model:
+            p.add_argument("--model", choices=["harmonic", "kerr", "pendulum",
+                                                "morse", "well"])
+            p.add_argument("--alpha", type=float)
+            p.add_argument("--lambda", dest="lambda_", type=float)
+            p.add_argument("--tau", type=float)
+        p.add_argument("--config")
+        p.add_argument("--output", help="output path (default stdout)")
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("score", help="maximum quantum score")
-    _add_common(p)
+    p = command("bounds", "trapping times and energy window", cmd_bounds)
+    p.add_argument("--energy-points", type=int, default=50)
+
+    p = command("score", "maximum quantum score", cmd_score)
+    p.add_argument("--cache", help="slice cache directory "
+                   "(or DYNCERT_CACHE_DIR)")
     p.add_argument("--nmax", type=int, help="fixed truncation 0..nmax")
     p.add_argument("--scan", action="store_true")
     p.add_argument("--tau-min", type=float)
@@ -367,25 +368,20 @@ def build_parser():
                    default="from_tau")
     p.add_argument("--scenario", action="store_true")
     p.add_argument("--nhat", type=int, choices=[4, 6])
-    p.set_defaults(func=cmd_score)
 
-    p = subs.add_parser("simulate", help="Monte Carlo protocol run")
-    _add_common(p)
+    p = command("simulate", "Monte Carlo protocol run", cmd_simulate)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state", default="psi6")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_simulate)
 
-    p = subs.add_parser("wigner", help="Wigner grid and marginals")
-    _add_common(p)
+    p = command("wigner", "Wigner grid and marginals", cmd_wigner)
     p.add_argument("--state", default="psi6")
     p.add_argument("--angular", action="store_true")
     p.add_argument("--grid-points", type=int, default=201)
-    p.set_defaults(func=cmd_wigner)
 
-    p = subs.add_parser("make-figures", help="regenerate all figure data")
-    _add_common(p)
-    p.set_defaults(func=cmd_make_figures)
+    command("make-figures", "regenerate all figure data", cmd_make_figures,
+            model=False)
     return parser, subs.choices
 
 

@@ -48,9 +48,7 @@ class WignerGrid:
                 "the axes do not cover the state's phase-space support")
 
     def integral(self):
-        over_p = (self.values.sum(axis=1) if self.p_discrete
-                  else np.trapezoid(self.values, self.p_axis, axis=1))
-        return float(np.trapezoid(over_p, self.q_axis))
+        return float(np.trapezoid(self.marginal_q(), self.q_axis))
 
     def marginal_q(self):
         if self.p_discrete:
@@ -165,9 +163,9 @@ def wigner_to_csv(grid):
     """CSV matrix with the p axis as the header row and q as first column."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["q\\p"] + [f"{p!r}" for p in grid.p_axis])
-    for q, row in zip(grid.q_axis, grid.values):
-        writer.writerow([f"{q!r}"] + [f"{v!r}" for v in row])
+    writer.writerow(["q\\p"] + grid.p_axis.tolist())  # csv writes floats by repr
+    for q, row in zip(grid.q_axis.tolist(), grid.values.tolist()):
+        writer.writerow([q] + row)
     return buf.getvalue()
 
 

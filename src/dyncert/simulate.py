@@ -1,10 +1,10 @@
 """Monte Carlo simulation of the three-time protocol.
 
-Each round picks one of the three probing times uniformly at random,
-evolves the state's amplitudes by the free phases, samples a sharp
-position measurement from the resulting density by inverse-CDF on a
-grid, and scores whether the position came out positive. Only sgn(q) is
-scored, so most rounds are classified by their CDF value alone.
+Each round picks one of the three probing times uniformly at random and
+a uniform u, and scores pos(q) of the position that inverse-CDF sampling
+of the evolved density would give. That position increases with u, so
+the round scores 1 when u > F(tol), 1/2 when F(-tol) <= u <= F(tol) and
+0 otherwise: no position is sampled.
 """
 
 import json
@@ -14,7 +14,7 @@ from math import pi, sqrt
 import numpy as np
 
 from . import models, spectra
-from .classical import POS_BOUNDARY_TOL, pos
+from .classical import POS_BOUNDARY_TOL
 from .errors import ConvergenceError, DomainError
 
 MASS_TARGET = 1e-8
@@ -103,14 +103,15 @@ def marginal_density(state, t_fraction, tau, qs):
     return _evolved_density(state, _wavefunction_table(state, qs), tau, k)
 
 
-def _cdf_samplers(state, tau, n_points=GRID_POINTS):
-    """Per-probing-time inverse-CDF samplers, checked for mass coverage."""
+def _sign_cdf(state, tau, n_points=GRID_POINTS):
+    """(F(-tol), F(tol)): the position CDF at q = -/+ POS_BOUNDARY_TOL at
+    each probing time, checked for mass coverage."""
     qs = position_grid(state, n_points)
     table = _wavefunction_table(state, qs)
-    samplers = []
+    dq = np.diff(qs)
+    bounds = np.empty((2, 3))
     for k in range(3):
         dens = _evolved_density(state, table, tau, k)
-        dq = np.diff(qs)
         cum = np.concatenate([[0.0],
                               np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dq)])
         mass = cum[-1]
@@ -118,16 +119,9 @@ def _cdf_samplers(state, tau, n_points=GRID_POINTS):
             raise ConvergenceError(
                 f"measurement grid covers only {mass} of the probability mass",
                 residual=1.0 - mass)
-        cdf = cum / mass
-        # strictly increasing knots for interpolation
-        keep = np.concatenate([[True], np.diff(cdf) > 0])
-        samplers.append((cdf[keep], qs[keep]))
-    return samplers
-
-
-def sample_positions(sampler, u):
-    cdf, qs = sampler
-    return np.interp(u, cdf, qs)
+        bounds[:, k] = np.interp([-POS_BOUNDARY_TOL, POS_BOUNDARY_TOL],
+                                 qs, cum / mass)
+    return bounds
 
 
 def _chunk_plan(n_rounds):
@@ -142,34 +136,16 @@ def _chunk_plan(n_rounds):
     return plan
 
 
-def _sign_bounds(samplers):
-    """(u_neg, u_pos) per probing time: u <= u_neg samples q < -tol and
-    u >= u_pos samples q > tol. Inside a segment ``sample_positions`` is
-    monotone and starts at the left knot but may pass the right one by a few
-    ulps, hence one knot of margin past the last q < -tol and first q > tol.
-    """
-    bounds = []
-    for cdf, qs in samplers:
-        lo = np.searchsorted(qs, -POS_BOUNDARY_TOL) - 2
-        hi = np.searchsorted(qs, POS_BOUNDARY_TOL, side="right") + 1
-        bounds.append((cdf[lo] if lo >= 0 else -1.0,
-                       cdf[hi] if hi < cdf.size else 2.0))
-    return np.array(bounds).T
-
-
-def _chunk_stats(samplers, bounds, seed, chunk, m):
+def _chunk_stats(bounds, seed, chunk, m):
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
     ks = rng.integers(0, 3, size=m)
     us = rng.random(size=m)
-    u_neg, u_pos = bounds[0][ks], bounds[1][ks]
-    n_pos = np.count_nonzero(us >= u_pos)
-    band = (us > u_neg) & (us < u_pos)
-    ks, us = ks[band], us[band]
-    # scores are multiples of 1/2, so both sums are exact in any order
-    scores = np.concatenate([pos(sample_positions(samplers[k], us[ks == k]))
-                             for k in range(3)])
-    return n_pos + float(np.sum(scores)), n_pos + float(np.sum(scores * scores))
+    f_neg, f_pos = bounds[0][ks], bounds[1][ks]
+    n_pos = np.count_nonzero(us > f_pos)
+    n_half = np.count_nonzero((us >= f_neg) & (us <= f_pos))
+    # scores are multiples of 1/2, so both sums are exact
+    return n_pos + 0.5 * n_half, n_pos + 0.25 * n_half
 
 
 def run_protocol(state, tau, n_rounds, seed, workers=1):
@@ -182,16 +158,15 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
     """
     if n_rounds < 1:
         raise DomainError("n_rounds must be positive")
-    samplers = _cdf_samplers(state, tau)
-    bounds = _sign_bounds(samplers)
+    bounds = _sign_cdf(state, tau)
     plan = _chunk_plan(n_rounds)
     if workers > 1 and len(plan) > 1:
         import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
             stats = list(ex.map(
-                lambda cm: _chunk_stats(samplers, bounds, seed, *cm), plan))
+                lambda cm: _chunk_stats(bounds, seed, *cm), plan))
     else:
-        stats = [_chunk_stats(samplers, bounds, seed, c, m) for c, m in plan]
+        stats = [_chunk_stats(bounds, seed, c, m) for c, m in plan]
     total = 0.0
     total_sq = 0.0
     for s, s2 in stats:  # fixed summation order by chunk index
@@ -206,13 +181,8 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
 
 
 def deterministic_score(state, tau, n_points=40001):
-    """Non-stochastic cross-check: average positive-side mass over the
-    three probing times by grid integration."""
-    qs = position_grid(state, n_points)
-    table = _wavefunction_table(state, qs)
-    mask = qs >= 0.0
-    acc = 0.0
-    for k in range(3):
-        dens = _evolved_density(state, table, tau, k)
-        acc += float(np.trapezoid(dens[mask], qs[mask]))
-    return acc / 3.0
+    """Non-stochastic cross-check: the exact mean of the Monte Carlo round
+    score, 1 - (F(-tol) + F(tol))/2, over the three probing times on a
+    finer grid."""
+    f_neg, f_pos = _sign_cdf(state, tau, n_points)
+    return float(np.mean(1.0 - 0.5 * (f_neg + f_pos)))

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles: overlap and trapping-time
 quadratures, a fine-step trajectory integrator, and per-round reference
-reductions for the sign-only sampling kernels."""
+reductions for the sign-only kernels: Monte Carlo rounds sampled to a
+position by inverse CDF, and oracle positions, both scored by pos()."""
 
 from math import inf, pi, sqrt
 
@@ -175,6 +176,22 @@ def yoshida_trajectory(model, q0, p0, t):
 # per-round references for the sign-only sampling kernels
 # ---------------------------------------------------------------------------
 
+def cdf_samplers_reference(state, tau, n_points=simulate.GRID_POINTS):
+    """Inverse-CDF samplers (cdf, qs) at the three probing times on the
+    measurement grid, flat CDF stretches dropped so the knots increase."""
+    qs = simulate.position_grid(state, n_points)
+    table = simulate._wavefunction_table(state, qs)
+    samplers = []
+    for k in range(3):
+        dens = simulate._evolved_density(state, table, tau, k)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
+                                               * np.diff(qs))])
+        cdf = cum / cum[-1]
+        keep = np.concatenate([[True], np.diff(cdf) > 0])
+        samplers.append((cdf[keep], qs[keep]))
+    return samplers
+
+
 def chunk_stats_reference(samplers, seed, chunk, m):
     """(sum, sum of squares) of one Monte Carlo chunk, every round sampled
     to a position by np.interp and scored by the float pos()."""
@@ -183,17 +200,18 @@ def chunk_stats_reference(samplers, seed, chunk, m):
     ks = rng.integers(0, 3, size=m)
     us = rng.random(size=m)
     scores = np.empty(m)
-    for k in range(3):
+    for k, (cdf, qs) in enumerate(samplers):
         mask = ks == k
-        scores[mask] = pos(simulate.sample_positions(samplers[k], us[mask]))
+        scores[mask] = pos(np.interp(us[mask], cdf, qs))
     return float(np.sum(scores)), float(np.sum(scores * scores))
 
 
 def run_protocol_reference(monkeypatch, state, tau, n_rounds, seed):
-    """``simulate.run_protocol`` with every chunk scored per round."""
+    """``simulate.run_protocol`` with every round sampled to a position."""
+    samplers = cdf_samplers_reference(state, tau)
     with monkeypatch.context() as mp:
         mp.setattr(simulate, "_chunk_stats",
-                   lambda samplers, bounds, seed, chunk, m:
+                   lambda bounds, seed, chunk, m:
                    chunk_stats_reference(samplers, seed, chunk, m))
         return simulate.run_protocol(state, tau, n_rounds, seed)
 
@@ -207,7 +225,7 @@ def oracle_with_reference(monkeypatch, model, window, tau, n_samples, seed,
 
     def recording_flow(model, q0, p0, times):
         out = list(flow(model, q0, p0, times))
-        batches.append([np.array(q0, dtype=float)] + [q for q, _ in out])
+        batches.append([np.array(q0, dtype=float)] + out)
         return iter(out)
 
     with monkeypatch.context() as mp:

@@ -41,6 +41,12 @@ class TestBounds:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    def test_seed_is_not_a_bounds_flag(self, capsys):
+        # only simulate reads --seed
+        code, out, _ = run(capsys, "bounds", "--model", "well", "--tau", "1",
+                           "--seed", "1")
+        assert code == 2 and out == ""
+
 
 class TestScore:
     def test_harmonic_nmax(self, capsys):
@@ -214,6 +220,13 @@ class TestCacheAndConfig:
         code, _, err = run(capsys, "score", "--config", str(cfg), "--tau", "1")
         assert code == 2
 
+    def test_config_key_the_command_does_not_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = well\ntau = 1\ncache = somewhere\n")
+        code, out, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "unknown config key" in json.loads(err)["error"]["message"]
+
     def test_bad_config_value(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model = harmonic\ntau = one\nnmax = 6\n")
@@ -246,3 +259,21 @@ class TestMakeFigures:
         for path in paths:
             for row in csv.reader(io.StringIO(path.read_text())):
                 assert "nan" not in [cell.lower() for cell in row], path
+
+    def test_csv_cells_are_plain_floats(self, figures):
+        # every value cell parses as a number; scans add an error column
+        code, root = figures
+        assert code == 0
+        for path in sorted(root.rglob("*.csv")):
+            header, *rows = csv.reader(io.StringIO(path.read_text()))
+            assert rows, path
+            # the Wigner header row holds the p axis after its q\p corner
+            cells = header[1:] if header[0] == "q\\p" else []
+            for row in rows:
+                cells += [c for name, c in zip(header, row) if name != "error"]
+            for cell in cells:
+                float(cell)
+
+    def test_takes_no_model_flags(self, capsys):
+        code, _, _ = run(capsys, "make-figures", "--model", "kerr")
+        assert code == 2

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.stats as sst
 
 from dyncert import models, protocol, simulate, spectra
 from dyncert.classical import POS_BOUNDARY_TOL, energy_window
 from dyncert.errors import DomainError
-from conftest import chunk_stats_reference, run_protocol_reference
+from conftest import (cdf_samplers_reference, chunk_stats_reference,
+                      run_protocol_reference)
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +76,9 @@ def _optimal_state(mdl, tau):
 
 
 class TestSignOnlyKernel:
-    """Scoring by sgn(q) alone must reproduce, bit for bit, every round
-    sampled to a position and scored by pos()."""
+    """Scoring each round by its CDF value against F(-tol) and F(tol) must
+    reproduce, bit for bit, every round sampled to a position and scored
+    by pos()."""
 
     @pytest.fixture(scope="class", params=[
         "harmonic-psi6", "kerr+0.02", "kerr-0.02", "well", "morse5", "morse20"])
@@ -100,10 +101,10 @@ class TestSignOnlyKernel:
     @pytest.mark.parametrize("seed", [4, 2**40 + 7])
     def test_chunk_stats_match_reference(self, state_tau, seed):
         state, tau = state_tau
-        samplers = simulate._cdf_samplers(state, tau)
-        bounds = simulate._sign_bounds(samplers)
+        samplers = cdf_samplers_reference(state, tau)
+        bounds = simulate._sign_cdf(state, tau)
         for chunk, m in [(0, simulate.CHUNK_ROUNDS), (3, 1000)]:
-            assert (simulate._chunk_stats(samplers, bounds, seed, chunk, m)
+            assert (simulate._chunk_stats(bounds, seed, chunk, m)
                     == chunk_stats_reference(samplers, seed, chunk, m))
 
     @pytest.mark.parametrize("seed", [4, 2**40 + 7])
@@ -114,8 +115,9 @@ class TestSignOnlyKernel:
         assert simulate.run_protocol(state, tau, n, seed) == ref
 
     def test_rounds_inside_the_band_fall_back(self):
-        # knots within the boundary tolerance of q = 0 put most rounds
-        # between u_neg and u_pos; one sampler lies all above, one all below
+        # knots at and within the boundary tolerance of q = 0 put 40% of
+        # the rounds between F(-tol) and F(tol), to be scored 1/2; one
+        # sampler lies all above q = 0, one all below
         tol = POS_BOUNDARY_TOL
         cdf = np.linspace(0.0, 1.0, 11)
         samplers = [
@@ -124,27 +126,17 @@ class TestSignOnlyKernel:
             (cdf, np.linspace(0.5, 1.0, 11)),
             (cdf, np.linspace(-1.0, 0.0, 11)),
         ]
-        bounds = simulate._sign_bounds(samplers)
-        assert list(bounds[0]) == [cdf[1], -1.0, cdf[8]]
-        assert list(bounds[1]) == [cdf[9], cdf[1], 2.0]
+        bounds = np.array([[np.interp(q, qs, c) for c, qs in samplers]
+                           for q in (-tol, tol)])
+        assert list(bounds[:, 0]) == [cdf[3], cdf[7]]
+        assert list(bounds[:, 1]) == [0.0, 0.0]
+        assert 1.0 - 1e-11 < bounds[0, 2] < bounds[1, 2] == 1.0
         for seed in (0, 1):
-            stats = simulate._chunk_stats(samplers, bounds, seed, 0, 50_000)
+            stats = simulate._chunk_stats(bounds, seed, 0, 50_000)
             assert stats == chunk_stats_reference(samplers, seed, 0, 50_000)
 
 
 class TestSampler:
-    def test_kolmogorov_smirnov(self, psi6):
-        samplers = simulate._cdf_samplers(psi6, 1.0)
-        cdf, qs = samplers[0]
-        rng = np.random.default_rng(0)
-        draws = simulate.sample_positions(samplers[0], rng.random(10000))
-
-        def cdf_fn(x):
-            return np.interp(x, qs, cdf)
-
-        stat, pvalue = sst.kstest(draws, cdf_fn)
-        assert pvalue > 0.01
-
     def test_grid_mass_coverage(self, psi6):
         qs = simulate.position_grid(psi6)
         dens = simulate.marginal_density(psi6, 0.0, 1.0, qs)
