@@ -1,7 +1,8 @@
 """From exact scores to simulated experiments and phase-space pictures.
 
 run_protocol simulates the actual measurement procedure: per round a
-random probing time, a sharp position sample, and a positivity score.
+random probing time and a positivity outcome drawn with the Born
+probability that the position measured then is positive.
 The Wigner function shows where the certified state hides its
 nonclassicality.
 """
@@ -19,11 +20,12 @@ est = simulate.run_protocol(psi6, 1.0, 200000, seed=7)
 print(f"Monte Carlo (2e5 rounds):        {est.p3_hat:.6f} "
       f"+- {est.stderr:.6f}")
 
-det = simulate.deterministic_score(psi6, 1.0)
-print(f"Grid integration cross-check:    {det:.6f}")
+probs = protocol.round_probabilities(psi6, 1.0)
+print("P(q > 0) at the three probing times: "
+      + ", ".join(f"{p:.6f}" for p in probs))
 
-print("\nThe three probing-time densities coincide for this state "
-      "(that is what makes it optimal):")
+print("\nThese are equal, and so are the three probing-time densities "
+      "(that is what makes the state optimal):")
 qs = np.linspace(-6, 6, 1201)
 d0 = simulate.marginal_density(psi6, 0.0, 1.0, qs)
 d1 = simulate.marginal_density(psi6, 1.0 / 3.0, 1.0, qs)

@@ -50,7 +50,7 @@ class ScoreResult:
     window: EnergyWindow = None
 
     def __post_init__(self):
-        if not 0.0 <= self.p3_max <= 1.0 + 1e-12:
+        if not 0.0 <= self.p3_max <= 1.0 + SCORE_RANGE_TOL:
             raise DomainError(f"score {self.p3_max} outside [0, 1]")
 
     def to_json_dict(self):
@@ -113,8 +113,21 @@ def score_state(state, tau):
     return _in_unit_range(np.vdot(v, build_q3(state.slice, tau).matvec(v)).real)
 
 
+def round_probabilities(state, tau):
+    """(P_0, P_1, P_2): the Born probability that the position measured at
+    probing time k tau T/3 is positive, P_k = (1 + <v_k|S|v_k>)/2 with
+    v_k = D_k^dagger psi; their mean is P3."""
+    a = state.amplitudes
+    d1, d2 = _phase_vectors(state.slice.energies, tau)
+    vs = np.stack([a, d1.conj() * a, d2.conj() * a], axis=1)
+    s = np.asarray(state.slice.sgn, dtype=float)
+    forms = np.sum(vs.conj() * (s @ vs.view(float)).view(complex), axis=0).real
+    return tuple(_in_unit_range(0.5 * (1.0 + f)) for f in forms)
+
+
 def _in_unit_range(value):
-    """A Q3 expectation value, clipped into [0, 1] only within round-off."""
+    """A Q3 expectation value or probability, clipped into [0, 1] only
+    within round-off."""
     value = float(value)
     if not -SCORE_RANGE_TOL <= value <= 1.0 + SCORE_RANGE_TOL:
         raise NumericalInstabilityError(

@@ -1,10 +1,9 @@
-"""Monte Carlo simulation of the three-time protocol.
+"""Monte Carlo simulation of the three-time protocol, and position densities.
 
-Each round picks one of the three probing times uniformly at random and
-a uniform u, and scores pos(q) of the position that inverse-CDF sampling
-of the evolved density would give. That position increases with u, so
-the round scores 1 when u > F(tol), 1/2 when F(-tol) <= u <= F(tol) and
-0 otherwise: no position is sampled.
+Each round picks one of the three probing times k tau T/3 uniformly at
+random and a uniform u. The position measured then is positive with the
+Born probability P_k (``protocol.round_probabilities``), so the round
+scores 1 when u > 1 - P_k and 0 otherwise: no position is sampled.
 """
 
 import json
@@ -13,11 +12,9 @@ from math import pi, sqrt
 
 import numpy as np
 
-from . import models, spectra
-from .classical import POS_BOUNDARY_TOL
-from .errors import ConvergenceError, DomainError
+from . import models, protocol, spectra
+from .errors import DomainError
 
-MASS_TARGET = 1e-8
 GRID_POINTS = 4001
 CHUNK_ROUNDS = 1 << 16
 
@@ -41,7 +38,7 @@ class McEstimate:
 
 
 def position_grid(state, n_points=GRID_POINTS):
-    """Measurement grid covering all but < 1e-8 of the state's mass.
+    """Position grid covering all but < 1e-8 of the state's mass.
 
     Spans the classical turning points of the highest retained level,
     widened by five decay lengths of the slowest-decaying tail; compact
@@ -103,27 +100,6 @@ def marginal_density(state, t_fraction, tau, qs):
     return _evolved_density(state, _wavefunction_table(state, qs), tau, k)
 
 
-def _sign_cdf(state, tau, n_points=GRID_POINTS):
-    """(F(-tol), F(tol)): the position CDF at q = -/+ POS_BOUNDARY_TOL at
-    each probing time, checked for mass coverage."""
-    qs = position_grid(state, n_points)
-    table = _wavefunction_table(state, qs)
-    dq = np.diff(qs)
-    bounds = np.empty((2, 3))
-    for k in range(3):
-        dens = _evolved_density(state, table, tau, k)
-        cum = np.concatenate([[0.0],
-                              np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dq)])
-        mass = cum[-1]
-        if mass < 1.0 - MASS_TARGET:
-            raise ConvergenceError(
-                f"measurement grid covers only {mass} of the probability mass",
-                residual=1.0 - mass)
-        bounds[:, k] = np.interp([-POS_BOUNDARY_TOL, POS_BOUNDARY_TOL],
-                                 qs, cum / mass)
-    return bounds
-
-
 def _chunk_plan(n_rounds):
     plan = []
     done = 0
@@ -136,53 +112,37 @@ def _chunk_plan(n_rounds):
     return plan
 
 
-def _chunk_stats(bounds, seed, chunk, m):
+def _chunk_count(thresholds, seed, chunk, m):
+    """Rounds of one chunk that score 1: u > 1 - P_k at their probing time."""
     rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
+        key=np.array([seed, chunk], dtype=np.uint64)))
     ks = rng.integers(0, 3, size=m)
     us = rng.random(size=m)
-    f_neg, f_pos = bounds[0][ks], bounds[1][ks]
-    n_pos = np.count_nonzero(us > f_pos)
-    n_half = np.count_nonzero((us >= f_neg) & (us <= f_pos))
-    # scores are multiples of 1/2, so both sums are exact
-    return n_pos + 0.5 * n_half, n_pos + 0.25 * n_half
+    return np.count_nonzero(us > thresholds[ks])
 
 
 def run_protocol(state, tau, n_rounds, seed, workers=1):
     """Monte Carlo estimate of P3 for a state at probing ratio tau.
 
     Rounds are processed in fixed-size chunks, each driven by a Philox
-    stream keyed by (seed, chunk index), and chunk statistics are summed
-    in chunk order, so the result is bit-for-bit reproducible regardless
-    of the worker count or scheduling.
+    stream keyed by (seed, chunk index), and the chunk counts are exact
+    integers, so the result is bit-for-bit reproducible regardless of the
+    worker count or scheduling.
     """
     if n_rounds < 1:
         raise DomainError("n_rounds must be positive")
-    bounds = _sign_cdf(state, tau)
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed {seed} outside [0, 2**64)")
+    thresholds = 1.0 - np.array(protocol.round_probabilities(state, tau))
     plan = _chunk_plan(n_rounds)
     if workers > 1 and len(plan) > 1:
         import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            stats = list(ex.map(
-                lambda cm: _chunk_stats(bounds, seed, *cm), plan))
+            counts = list(ex.map(
+                lambda cm: _chunk_count(thresholds, seed, *cm), plan))
     else:
-        stats = [_chunk_stats(bounds, seed, c, m) for c, m in plan]
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in stats:  # fixed summation order by chunk index
-        total += s
-        total_sq += s2
-    mean = total / n_rounds
-    var = max(total_sq / n_rounds - mean * mean, 0.0)
-    if n_rounds > 1:
-        var *= n_rounds / (n_rounds - 1)
-    stderr = sqrt(var / n_rounds)
+        counts = [_chunk_count(thresholds, seed, c, m) for c, m in plan]
+    mean = sum(counts) / n_rounds
+    # 0/1 scores: sample variance n mean (1 - mean) / (n - 1), over n
+    stderr = sqrt(mean * (1.0 - mean) / max(n_rounds - 1, 1))
     return McEstimate(mean, stderr, n_rounds, seed)
-
-
-def deterministic_score(state, tau, n_points=40001):
-    """Non-stochastic cross-check: the exact mean of the Monte Carlo round
-    score, 1 - (F(-tol) + F(tol))/2, over the three probing times on a
-    finer grid."""
-    f_neg, f_pos = _sign_cdf(state, tau, n_points)
-    return float(np.mean(1.0 - 0.5 * (f_neg + f_pos)))

@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles: overlap and trapping-time
-quadratures, a fine-step trajectory integrator, and per-round reference
-reductions for the sign-only kernels: Monte Carlo rounds sampled to a
-position by inverse CDF, and oracle positions, both scored by pos()."""
+quadratures, a fine-step trajectory integrator, the position CDF of a
+state on a grid, and per-round reference reductions: Monte Carlo rounds
+sampled to a position by inverse CDF, and oracle positions, both scored
+by pos()."""
 
 from math import inf, pi, sqrt
 
@@ -173,46 +174,64 @@ def yoshida_trajectory(model, q0, p0, t):
 
 
 # ---------------------------------------------------------------------------
-# per-round references for the sign-only sampling kernels
+# position-space references for the Monte Carlo rounds
 # ---------------------------------------------------------------------------
 
-def cdf_samplers_reference(state, tau, n_points=simulate.GRID_POINTS):
-    """Inverse-CDF samplers (cdf, qs) at the three probing times on the
-    measurement grid, flat CDF stretches dropped so the knots increase."""
+def _grid_cdfs(state, tau, n_points):
+    """Positions qs and the trapezoid CDF of the evolved density on them
+    at each probing time, checked to cover all but 1e-8 of the mass."""
     qs = simulate.position_grid(state, n_points)
     table = simulate._wavefunction_table(state, qs)
-    samplers = []
+    cdfs = []
     for k in range(3):
         dens = simulate._evolved_density(state, table, tau, k)
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                                * np.diff(qs))])
-        cdf = cum / cum[-1]
+        assert cum[-1] >= 1.0 - 1e-8, f"grid covers only {cum[-1]} of the mass"
+        cdfs.append(cum / cum[-1])
+    return qs, cdfs
+
+
+def grid_cdf_bounds(state, tau, n_points):
+    """(F(-tol), F(tol)) at each probing time, shape (2, 3): the position
+    CDF at q = -/+ POS_BOUNDARY_TOL, from eigenfunctions on a grid alone."""
+    qs, cdfs = _grid_cdfs(state, tau, n_points)
+    tol = classical.POS_BOUNDARY_TOL
+    return np.array([[np.interp(q, qs, cdf) for cdf in cdfs]
+                     for q in (-tol, tol)])
+
+
+def cdf_samplers_reference(state, tau, n_points):
+    """Inverse-CDF samplers (cdf, qs) at the three probing times, flat CDF
+    stretches dropped so the knots increase."""
+    qs, cdfs = _grid_cdfs(state, tau, n_points)
+    samplers = []
+    for cdf in cdfs:
         keep = np.concatenate([[True], np.diff(cdf) > 0])
         samplers.append((cdf[keep], qs[keep]))
     return samplers
 
 
-def chunk_stats_reference(samplers, seed, chunk, m):
-    """(sum, sum of squares) of one Monte Carlo chunk, every round sampled
-    to a position by np.interp and scored by the float pos()."""
+def chunk_count_reference(samplers, seed, chunk, m):
+    """Rounds of one Monte Carlo chunk that score 1 when every round is
+    sampled to a position by np.interp and scored by the float pos()."""
     rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
+        key=np.array([seed, chunk], dtype=np.uint64)))
     ks = rng.integers(0, 3, size=m)
     us = rng.random(size=m)
     scores = np.empty(m)
     for k, (cdf, qs) in enumerate(samplers):
         mask = ks == k
         scores[mask] = pos(np.interp(us[mask], cdf, qs))
-    return float(np.sum(scores)), float(np.sum(scores * scores))
+    return float(np.sum(scores))
 
 
-def run_protocol_reference(monkeypatch, state, tau, n_rounds, seed):
+def run_protocol_reference(monkeypatch, samplers, state, tau, n_rounds, seed):
     """``simulate.run_protocol`` with every round sampled to a position."""
-    samplers = cdf_samplers_reference(state, tau)
     with monkeypatch.context() as mp:
-        mp.setattr(simulate, "_chunk_stats",
-                   lambda bounds, seed, chunk, m:
-                   chunk_stats_reference(samplers, seed, chunk, m))
+        mp.setattr(simulate, "_chunk_count",
+                   lambda thresholds, seed, chunk, m:
+                   chunk_count_reference(samplers, seed, chunk, m))
         return simulate.run_protocol(state, tau, n_rounds, seed)
 
 

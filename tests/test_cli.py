@@ -127,6 +127,13 @@ class TestSimulate:
                          "--rounds", "0", "--tau", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_range_exit_2(self, capsys, seed):
+        code, out, err = run(capsys, "simulate", "--model", "harmonic",
+                             "--state", "psi6", "--tau", "1",
+                             "--rounds", "1000", "--seed", seed)
+        assert code == 2 and out == "" and "seed" in err
+
     def test_state_file_cross_command(self, capsys, tmp_path):
         code, out, _ = run(capsys, "score", "--model", "kerr", "--alpha",
                            "0.02", "--tau", "1", "--nmax", "10")

@@ -1,13 +1,18 @@
-"""Monte Carlo protocol simulation: determinism, calibration, sampling."""
+"""Monte Carlo protocol simulation: Born probabilities, determinism,
+calibration, position densities."""
 
 import numpy as np
 import pytest
 
 from dyncert import models, protocol, simulate, spectra
-from dyncert.classical import POS_BOUNDARY_TOL, energy_window
+from dyncert.classical import energy_window
 from dyncert.errors import DomainError
-from conftest import (cdf_samplers_reference, chunk_stats_reference,
-                      run_protocol_reference)
+from conftest import (cdf_samplers_reference, chunk_count_reference,
+                      grid_cdf_bounds, run_protocol_reference)
+
+# grid of the position-space oracle: 3.1e-7 from the Born probabilities
+# on the Morse lambda = 20 optimal state, 5.0e-6 at 40001 points
+ORACLE_POINTS = 160001
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +58,16 @@ class TestRunProtocol:
         with pytest.raises(DomainError):
             simulate.run_protocol(psi6, 1.0, 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_philox_key(self, psi6, seed):
+        # seed -1 would otherwise key the same stream as 2**64 - 1
+        with pytest.raises(DomainError):
+            simulate.run_protocol(psi6, 1.0, 1000, seed=seed)
+
+    def test_accepts_largest_seed(self, psi6):
+        est = simulate.run_protocol(psi6, 1.0, 1000, seed=2**64 - 1)
+        assert est.seed == 2**64 - 1
+
     def test_calibration_over_seeds(self, psi6):
         exact = protocol.score_state(psi6, 1.0)
         bad = 0
@@ -76,9 +91,10 @@ def _optimal_state(mdl, tau):
 
 
 class TestSignOnlyKernel:
-    """Scoring each round by its CDF value against F(-tol) and F(tol) must
-    reproduce, bit for bit, every round sampled to a position and scored
-    by pos()."""
+    """Each round scores 1 when its uniform exceeds 1 - P_k, P_k the Born
+    probability of q > 0 at its probing time. The position-space oracle
+    must give the same P_k, and rounds sampled to a position by inverse
+    CDF on its grid must score the same."""
 
     @pytest.fixture(scope="class", params=[
         "harmonic-psi6", "kerr+0.02", "kerr-0.02", "well", "morse5", "morse20"])
@@ -94,46 +110,41 @@ class TestSignOnlyKernel:
                     "morse20": (models.morse(20.0), 1.0)}[name]
         return _optimal_state(mdl, tau), tau
 
+    @pytest.fixture(scope="class")
+    def samplers(self, state_tau):
+        return cdf_samplers_reference(*state_tau, ORACLE_POINTS)
+
     def test_morse_grid_has_a_knot_at_zero(self):
         state = _optimal_state(models.morse(5.0), 1.0)
         assert np.any(simulate.position_grid(state) == 0.0)
 
-    @pytest.mark.parametrize("seed", [4, 2**40 + 7])
-    def test_chunk_stats_match_reference(self, state_tau, seed):
+    def test_round_probabilities_match_score_and_grid_oracle(self, state_tau):
         state, tau = state_tau
-        samplers = cdf_samplers_reference(state, tau)
-        bounds = simulate._sign_cdf(state, tau)
+        probs = protocol.round_probabilities(state, tau)
+        assert abs(np.mean(probs) - protocol.score_state(state, tau)) < 1e-12
+        f_pos = grid_cdf_bounds(state, tau, ORACLE_POINTS)[1]
+        assert np.max(np.abs(np.array(probs) - (1.0 - f_pos))) < 1e-6
+
+    # A round scores differently from its position-sampled reference only
+    # when its uniform falls between 1 - P_k and the grid's F(tol): with
+    # probability 3.1e-7 for Morse lambda = 20 and below 1.5e-8 for the
+    # other states. The two tests below draw 4e5 rounds per state, so
+    # 0.13 differing rounds are expected in all, nearly all for Morse 20.
+    @pytest.mark.parametrize("seed", [4, 2**40 + 7])
+    def test_chunk_stats_match_reference(self, state_tau, samplers, seed):
+        state, tau = state_tau
+        thresholds = 1.0 - np.array(protocol.round_probabilities(state, tau))
         for chunk, m in [(0, simulate.CHUNK_ROUNDS), (3, 1000)]:
-            assert (simulate._chunk_stats(bounds, seed, chunk, m)
-                    == chunk_stats_reference(samplers, seed, chunk, m))
+            assert (simulate._chunk_count(thresholds, seed, chunk, m)
+                    == chunk_count_reference(samplers, seed, chunk, m))
 
     @pytest.mark.parametrize("seed", [4, 2**40 + 7])
-    def test_estimate_matches_reference(self, state_tau, seed, monkeypatch):
+    def test_estimate_matches_reference(self, state_tau, samplers, seed,
+                                        monkeypatch):
         state, tau = state_tau
         n = 2 * simulate.CHUNK_ROUNDS + 999
-        ref = run_protocol_reference(monkeypatch, state, tau, n, seed)
+        ref = run_protocol_reference(monkeypatch, samplers, state, tau, n, seed)
         assert simulate.run_protocol(state, tau, n, seed) == ref
-
-    def test_rounds_inside_the_band_fall_back(self):
-        # knots at and within the boundary tolerance of q = 0 put 40% of
-        # the rounds between F(-tol) and F(tol), to be scored 1/2; one
-        # sampler lies all above q = 0, one all below
-        tol = POS_BOUNDARY_TOL
-        cdf = np.linspace(0.0, 1.0, 11)
-        samplers = [
-            (cdf, np.array([-2.0, -1.0, -10 * tol, -tol, -0.5 * tol, 0.0,
-                            0.5 * tol, tol, 10 * tol, 1.0, 2.0])),
-            (cdf, np.linspace(0.5, 1.0, 11)),
-            (cdf, np.linspace(-1.0, 0.0, 11)),
-        ]
-        bounds = np.array([[np.interp(q, qs, c) for c, qs in samplers]
-                           for q in (-tol, tol)])
-        assert list(bounds[:, 0]) == [cdf[3], cdf[7]]
-        assert list(bounds[:, 1]) == [0.0, 0.0]
-        assert 1.0 - 1e-11 < bounds[0, 2] < bounds[1, 2] == 1.0
-        for seed in (0, 1):
-            stats = simulate._chunk_stats(bounds, seed, 0, 50_000)
-            assert stats == chunk_stats_reference(samplers, seed, 0, 50_000)
 
 
 class TestSampler:
@@ -172,6 +183,9 @@ class TestMarginalDensity:
 
 
 class TestDeterministicCrossCheck:
+    """The exact mean round score of the grid CDF, 1 - (F(-tol) + F(tol))/2
+    over the three probing times, against the maximum quantum score."""
+
     @pytest.mark.parametrize("mdl,n_hat,tau", [
         (models.harmonic(), 6, 1.0),
         (models.kerr(0.02), 10, 1.0),
@@ -182,5 +196,15 @@ class TestDeterministicCrossCheck:
     def test_grid_integration_matches_exact(self, mdl, n_hat, tau):
         slc = protocol.truncated_slice(mdl, n_hat, check=False)
         result = protocol.max_score(slc, tau)
-        det = simulate.deterministic_score(result.state, tau)
-        assert abs(det - result.p3_max) < 1e-6
+        f_neg, f_pos = grid_cdf_bounds(result.state, tau, 40001)
+        assert abs(np.mean(1.0 - 0.5 * (f_neg + f_pos)) - result.p3_max) < 1e-6
+        probs = protocol.round_probabilities(result.state, tau)
+        assert (abs(np.mean(probs) - protocol.score_state(result.state, tau))
+                < 1e-12)
+
+    def test_morse20_optimal_state_matches_exact(self):
+        win = energy_window(models.morse(20.0), 1.0)
+        slc = spectra.spectrum_slice(models.morse(20.0), win, check=False)
+        result = protocol.max_score(slc, 1.0, window=win)
+        f_neg, f_pos = grid_cdf_bounds(result.state, 1.0, ORACLE_POINTS)
+        assert abs(np.mean(1.0 - 0.5 * (f_neg + f_pos)) - result.p3_max) < 1e-6
