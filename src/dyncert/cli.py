@@ -253,7 +253,7 @@ def cmd_simulate(args):
         raise DomainError("simulate requires --tau")
     state = _state_for(args, model)
     estimate = simulate.run_protocol(state, args.tau, args.rounds, args.seed,
-                                     workers=args.workers or 1)
+                                     workers=args.workers)
     _emit(estimate.to_json(), args.output)
     return 0
 
@@ -373,7 +373,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state", default="psi6")
     p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
 
     p = command("wigner", "Wigner grid and marginals", cmd_wigner)
     p.add_argument("--state", default="psi6")

@@ -331,11 +331,11 @@ def quad_inverse_sqrt(f, a, b, rel_tol=1e-10, panel_budget=20000):
 # largest eigenpair of a Hermitian operator
 # ---------------------------------------------------------------------------
 
-# Dense eigh up to this dimension, Lanczos above it. One BLAS thread, tau
-# in {0.8, 1, 1.2}: Lanczos wins from dim ~100 on harmonic and Kerr
-# truncations and from ~130 on the well at tau = 1 (a well at tau = 0.8,
-# with its clustered top, needs 100+ Krylov vectors and favours eigh).
-DENSE_EIG_LIMIT = 128
+# Dense solves up to this dimension (parity-even Q3 by the SVD of a
+# half-size block), Lanczos above it. One BLAS thread, tau in {0.8, 1, 1.2}:
+# Lanczos overtakes that SVD from dim ~230 on harmonic truncations and not
+# below 300 on Kerr and the well, whose clustered tops need more vectors.
+DENSE_EIG_LIMIT = 200
 
 
 class HermitianOperator:
@@ -372,7 +372,8 @@ def _lanczos(m, max_krylov=300):
     Each new Krylov vector is orthogonalised twice against the whole
     basis, so the residual estimate |beta_k y_k| of the top Ritz pair can
     be trusted, and an invariant subspace (beta_k = 0) simply ends the
-    recurrence. The pair is returned once one explicit matvec confirms
+    recurrence; its O(k^3) ``eigh`` runs every step up to 32 vectors, then
+    every k/32 steps. The pair is returned once one explicit matvec confirms
     ||Mv - lam v|| <= 1e-10 ||M||, with ||M|| the operator's
     ``norm_bound``; a Krylov space of ``max_krylov`` vectors that falls
     short raises :class:`ConvergenceError` with the residual reached.
@@ -384,6 +385,7 @@ def _lanczos(m, max_krylov=300):
     size = min(m.dim, max_krylov)
     basis = np.empty((size, m.dim), dtype=complex)
     t = np.zeros((size, size))  # the tridiagonal projection
+    next_check = 0
     for k in range(size):
         basis[k] = q
         w = m.matvec(q)
@@ -392,19 +394,21 @@ def _lanczos(m, max_krylov=300):
         for _ in range(2):
             w = w - (span @ w.conj()).conj() @ span
         beta = float(np.linalg.norm(w))
-        _, y = np.linalg.eigh(t[:k + 1, :k + 1])
         last = k + 1 == size or beta == 0.0
-        if beta * abs(y[-1, -1]) <= tol or last:
-            v = y[:, -1] @ span
-            v /= np.linalg.norm(v)
-            mv = m.matvec(v)
-            lam = float(np.vdot(v, mv).real)
-            res = float(np.linalg.norm(mv - lam * v))
-            if res <= tol:
-                return lam, v
-            if last:
-                raise ConvergenceError(
-                    f"Lanczos did not reach residual {tol:.3e} in {k + 1} "
-                    "Krylov vectors", residual=res)
+        if k >= next_check or last:
+            next_check = k + 1 + k // 32
+            _, y = np.linalg.eigh(t[:k + 1, :k + 1])
+            if beta * abs(y[-1, -1]) <= tol or last:
+                v = y[:, -1] @ span
+                v /= np.linalg.norm(v)
+                mv = m.matvec(v)
+                lam = float(np.vdot(v, mv).real)
+                res = float(np.linalg.norm(mv - lam * v))
+                if res <= tol:
+                    return lam, v
+                if last:
+                    raise ConvergenceError(
+                        f"Lanczos did not reach residual {tol:.3e} in "
+                        f"{k + 1} Krylov vectors", residual=res)
         t[k, k + 1] = t[k + 1, k] = beta
         q = w / beta

@@ -16,7 +16,8 @@ import numpy as np
 from . import models, spectra
 from .classical import TAU_HI, TAU_LO, EnergyWindow, energy_window
 from .errors import DomainError, DyncertError, NumericalInstabilityError
-from .numerics import HermitianOperator, hermitian_max_eigenpair
+from .numerics import (DENSE_EIG_LIMIT, HermitianOperator,
+                       hermitian_max_eigenpair)
 
 THETA4 = 0.215 * pi
 
@@ -67,9 +68,9 @@ class ScoreResult:
 
 
 def _phase_vectors(energies, tau):
-    """d_k[i] = exp(i k tau 2 pi E_i / 3) for k = 1, 2."""
+    """Rows d_k[i] = exp(i k tau 2 pi E_i / 3) for k = 0, 1, 2."""
     base = np.exp(1j * tau * 2.0 * pi * np.asarray(energies) / 3.0)
-    return base, base * base
+    return np.stack([np.ones_like(base), base, base * base])
 
 
 def build_q3(slc, tau):
@@ -79,31 +80,42 @@ def build_q3(slc, tau):
     unitaries: Q3 = I/2 + (1/6) sum_k D_k S D_k^dagger (k = 0, 1, 2), a
     HermitianOperator whose matvec takes an (n,) vector or an (n, m)
     block. The three rotated copies D_k^dagger v sit side by side as
-    complex columns, whose real view lets S act on all of them in one
-    matrix product.
+    columns, so S acts on all of them in one ``slc.sgn_matmul``.
     """
     if slc.dim == 0:
         raise DomainError("empty slice")
-    s = np.asarray(slc.sgn, dtype=float)
-    d1, d2 = _phase_vectors(slc.energies, tau)
-    rot = np.stack([np.ones_like(d1), d1, d2], axis=1)
+    rot = _phase_vectors(slc.energies, tau).T
     unrot = rot.conj()
 
     def matvec(v):
         r, u = (rot, unrot) if v.ndim == 1 else (rot[..., None],
                                                  unrot[..., None])
         block = u * v[:, None]
-        sv = (s @ block.reshape(len(v), -1).view(float)).view(complex)
+        sv = slc.sgn_matmul(block.reshape(len(v), -1))
         return 0.5 * v + np.sum(r * sv.reshape(block.shape), axis=1) / 6.0
 
     return HermitianOperator(slc.dim, matvec, norm_bound=1.0)
 
 
 def max_score(slc, tau, window=None):
-    """Largest eigenvalue of Q3 with its eigenvector, as a ScoreResult."""
-    value, vector = hermitian_max_eigenpair(build_q3(slc, tau))
+    """Largest eigenvalue of Q3 with its eigenvector (largest-modulus
+    amplitude real and positive), as a ScoreResult. In a parity-even model
+    Q3 - I/2 couples even to odd levels only, by C = (1/6) sum_k D_k^e B
+    (D_k^o)^dagger with B the sgn block, so up to DENSE_EIG_LIMIT levels
+    the pair is 1/2 + sigma_max(C) and (u + v)/sqrt(2) from C's SVD."""
+    if (slc.model.is_even_potential and min(slc.sgn.shape) > 0
+            and slc.dim <= DENSE_EIG_LIMIT):
+        even, odd = spectra.parity_positions(slc.indices)
+        d = _phase_vectors(slc.energies, tau)
+        u, sigma, vh = np.linalg.svd(
+            slc.sgn[:] * (d[:, even].T @ d[:, odd].conj()) / 6.0)
+        value, vector = 0.5 + sigma[0], np.empty(slc.dim, dtype=complex)
+        vector[even], vector[odd] = u[:, 0], vh[0].conj()
+    else:
+        value, vector = hermitian_max_eigenpair(build_q3(slc, tau))
     vector = vector / np.linalg.norm(vector)
-    state = QuantumState(slc, vector)
+    top = vector[np.argmax(np.abs(vector))]
+    state = QuantumState(slc, vector * (abs(top) / top))
     return ScoreResult(_in_unit_range(value), state, tau, window)
 
 
@@ -117,11 +129,8 @@ def round_probabilities(state, tau):
     """(P_0, P_1, P_2): the Born probability that the position measured at
     probing time k tau T/3 is positive, P_k = (1 + <v_k|S|v_k>)/2 with
     v_k = D_k^dagger psi; their mean is P3."""
-    a = state.amplitudes
-    d1, d2 = _phase_vectors(state.slice.energies, tau)
-    vs = np.stack([a, d1.conj() * a, d2.conj() * a], axis=1)
-    s = np.asarray(state.slice.sgn, dtype=float)
-    forms = np.sum(vs.conj() * (s @ vs.view(float)).view(complex), axis=0).real
+    vs = (_phase_vectors(state.slice.energies, tau).conj() * state.amplitudes).T
+    forms = np.sum(vs.conj() * state.slice.sgn_matmul(vs), axis=0).real
     return tuple(_in_unit_range(0.5 * (1.0 + f)) for f in forms)
 
 

@@ -133,6 +133,8 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
         raise DomainError("n_rounds must be positive")
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed} outside [0, 2**64)")
+    if workers < 1:
+        raise DomainError(f"workers must be positive, got {workers}")
     thresholds = 1.0 - np.array(protocol.round_probabilities(state, tau))
     plan = _chunk_plan(n_rounds)
     if workers > 1 and len(plan) > 1:

@@ -4,9 +4,9 @@ of sgn(Q) on a truncated eigenbasis.
 Energies are in hbar*omega0 and positions in each model's natural length
 unit (see models module). All eigenfunctions are taken in a real gauge, so
 the sgn matrix is real symmetric. The harmonic, Kerr, pendulum and well
-potentials are even, so each supplies only the block coupling its even to
-its odd levels; the Morse potential has no parity and supplies the full
-matrix.
+potentials are even, so only levels of opposite index parity couple and
+the matrix is held as its block of even-level rows and odd-level columns;
+the Morse potential has no parity and its full matrix is held.
 """
 
 import hashlib
@@ -19,10 +19,10 @@ import numpy as np
 
 from . import models
 from .errors import (DomainError, EmptySliceError, NumericalInstabilityError)
-from .numerics import laguerre, mathieu_eigensystem
+from .numerics import DENSE_EIG_LIMIT, laguerre, mathieu_eigensystem
 
 SGN_CHECK_TOL = 1e-6
-SCHEMA_VERSION = "dyncert.spectrum-slice.v1"
+SCHEMA_VERSION = "dyncert.spectrum-slice.v2"
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +231,52 @@ def eigenfunction_grid(model, n, qs):
 # sgn matrix elements
 # ---------------------------------------------------------------------------
 
+class ToeplitzBlock:
+    """diag(a) T diag(b) with T[i, j] = t[j - i + len(a) - 1] Toeplitz, held
+    as its generator: ``@`` a real (n, k) block is one batched FFT
+    convolution, and indexing by rows gives them as a dense array."""
+
+    def __init__(self, a, b, t):
+        self.a, self.b, self.t = (np.asarray(x, dtype=float) for x in (a, b, t))
+        self.shape = (len(self.a), len(self.b))
+        if len(self.t) != len(self.a) + len(self.b) - 1:
+            raise DomainError("a Toeplitz generator needs rows + columns - 1 values")
+        # a circular convolution this long reproduces every entry
+        self._size = 1 << (len(self.t) - 1).bit_length()
+        self._symbol = np.fft.rfft(self.t[::-1], self._size)
+
+    @property
+    def T(self):
+        return ToeplitzBlock(self.b, self.a, self.t[::-1])
+
+    def __matmul__(self, x):
+        conv = np.fft.irfft(self._symbol[:, None] * np.fft.rfft(
+            self.b[:, None] * x, self._size, axis=0), self._size, axis=0)
+        return self.a[:, None] * conv[self.shape[1] - 1:len(self.t)]
+
+    def __getitem__(self, rows):
+        i = np.arange(self.shape[0])[rows, None]
+        return self.a[i] * self.b * self.t[len(self.a) - 1 - i
+                                           + np.arange(self.shape[1])]
+
+
 def _harmonic_block(even, odd):
-    """<e|sgn(X)|o> for harmonic/Kerr levels e even (rows) and o odd (columns).
+    """<e|sgn(X)|o> for harmonic/Kerr runs of even e (rows) and odd o
+    (columns) levels, as a ToeplitzBlock: d is constant along a diagonal.
 
     a_e b_o (-1)^floor((d-1)/2) / d with d = o - e, a_e = sqrt(c_e) and
     b_o = sqrt(2 o c_(o-1) / pi), where c_k = C(k, k/2) / 2^k comes from the
     recurrence c_(k+2) = c_k (k+1)/(k+2).
     """
+    if np.any(np.diff(even) != 2) or np.any(np.diff(odd) != 2):
+        raise DomainError("harmonic and Kerr sgn blocks need consecutive levels")
     k = np.arange(0, max(even.max(), odd.max()), 2)
     c = np.concatenate(([1.0], np.cumprod((k + 1.0) / (k + 2.0))))  # c_(2j)
     a = np.sqrt(c[even // 2])
     b = np.sqrt(2.0 * odd / pi * c[(odd - 1) // 2])
-    d = odd[None, :] - even[:, None]
+    d = odd[0] - even[0] + 2 * np.arange(1 - len(even), len(odd))
     sign = np.where((d - 1) // 2 % 2 == 0, 1.0, -1.0)
-    return a[:, None] * b[None, :] * sign / d
+    return ToeplitzBlock(a, b, sign / d)
 
 
 def _pendulum_block(model, ns, es, even, odd):
@@ -342,52 +374,56 @@ def sgn_quadrature(model, n, m, n_points=40001):
 _CHECK_INDEX_CAP = 300  # quadrature oracle is reliable below this index
 
 
-def sgn_matrix(model, indices, energies=None, check=True):
-    """Real symmetric <E_n|sgn(Q)|E_n'> on the given level indices.
+def parity_positions(indices):
+    """Positions of the even and of the odd levels among ``indices``."""
+    indices = np.asarray(indices, dtype=int)
+    return np.flatnonzero(indices % 2 == 0), np.flatnonzero(indices % 2 == 1)
 
-    In a parity-even model only levels of opposite index parity couple: the
-    model supplies the (even x odd) block, placed here with its transpose.
+
+def sgn_matrix(model, indices, energies=None, check=True):
+    """<E_n|sgn(Q)|E_n'> on the given level indices, as a slice holds it.
+
+    In a parity-even model only levels of opposite index parity couple, so
+    this is the (even x odd) block alone: a ToeplitzBlock for harmonic and
+    Kerr slices of more than DENSE_EIG_LIMIT levels, else a dense array.
+    For Morse it is the full real symmetric matrix.
 
     With ``check`` enabled, a handful of entries are re-derived by direct
     quadrature of sgn(q) psi_n psi_n'; disagreement beyond 1e-6 raises
     NumericalInstabilityError rather than being silently accepted.
     """
     indices = np.asarray(indices, dtype=int)
+    rows, cols = parity_positions(indices)
     if not model.is_even_potential:
+        rows = cols = np.arange(len(indices))
         s = _morse_sgn(model.lambda_morse, indices)
+    elif not (len(rows) and len(cols)):
+        s = np.zeros((len(rows), len(cols)))
+    elif model.kind == models.PENDULUM:
+        if energies is None:
+            energies = pendulum_energy(model, indices)
+        s = _pendulum_block(model, indices, np.asarray(energies, dtype=float),
+                            rows, cols)
+    elif model.kind == models.WELL:
+        s = _well_block(indices[rows], indices[cols])
     else:
-        s = np.zeros((len(indices), len(indices)))
-        even = np.flatnonzero(indices % 2 == 0)
-        odd = np.flatnonzero(indices % 2 == 1)
-        if len(even) and len(odd):
-            if model.kind == models.PENDULUM:
-                if energies is None:
-                    energies = pendulum_energy(model, indices)
-                block = _pendulum_block(model, indices,
-                                        np.asarray(energies, dtype=float),
-                                        even, odd)
-            elif model.kind == models.WELL:
-                block = _well_block(indices[even], indices[odd])
-            else:
-                block = _harmonic_block(indices[even], indices[odd])
-            s[np.ix_(even, odd)] = block
-            s[np.ix_(odd, even)] = block.T
+        s = _harmonic_block(indices[rows], indices[cols])
+        if len(indices) <= DENSE_EIG_LIMIT:
+            s = s[:]
 
     if check:
-        small = [i for i, n in enumerate(indices) if n <= _CHECK_INDEX_CAP]
-        pairs = []
-        for k in range(min(3, len(small))):
-            for l in range(k, min(k + 2, len(small))):
-                pairs.append((small[k], small[l]))
-        for i, j in pairs:
-            n, m = int(indices[i]), int(indices[j])
-            if s[i, j] == 0.0 and n != m:
-                continue
-            ref = sgn_quadrature(model, n, m)
-            if abs(s[i, j] - ref) > SGN_CHECK_TOL:
-                raise NumericalInstabilityError(
-                    f"sgn matrix entry ({n},{m}) = {s[i, j]:.9g} disagrees "
-                    f"with quadrature {ref:.9g} beyond {SGN_CHECK_TOL}")
+        head = s[:3]
+        for i in range(len(head)):
+            for j in range(i, min(i + 2, s.shape[1])):
+                n, m = int(indices[rows[i]]), int(indices[cols[j]])
+                if max(n, m) > _CHECK_INDEX_CAP:
+                    continue
+                ref = sgn_quadrature(model, n, m)
+                if abs(head[i, j] - ref) > SGN_CHECK_TOL:
+                    raise NumericalInstabilityError(
+                        f"sgn matrix entry ({n},{m}) = {head[i, j]:.9g} "
+                        f"disagrees with quadrature {ref:.9g} beyond "
+                        f"{SGN_CHECK_TOL}")
     return s
 
 
@@ -397,12 +433,13 @@ def sgn_matrix(model, indices, energies=None, check=True):
 
 @dataclass(frozen=True)
 class SpectrumSlice:
-    """Levels inside a window together with their sgn(Q) matrix."""
+    """Levels inside a window together with their sgn(Q) matrix, held as
+    :func:`sgn_matrix` returns it."""
 
     model: models.ModelSystem
     indices: tuple
     energies: np.ndarray
-    sgn: np.ndarray
+    sgn: object
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -410,31 +447,46 @@ class SpectrumSlice:
             raise DomainError("indices and energies must align")
         if np.any(np.diff(e) <= 0):
             raise DomainError("energies must be strictly increasing")
-        s = np.asarray(self.sgn)
-        if s.shape != (len(e), len(e)):
+        s, even, odd = self.sgn, *parity_positions(self.indices)
+        if s.shape != ((len(even), len(odd)) if self.model.is_even_potential
+                       else (self.dim, self.dim)):
             raise DomainError("sgn matrix shape mismatch")
-        # s - s.T is antisymmetric, so its max is its largest magnitude;
-        # a NaN makes the max NaN and fails the test
-        if not np.max(s - s.T, initial=0.0) <= 1e-12:
+        # a parity-even block is symmetric with a zero diagonal by layout;
+        # s - s.T is antisymmetric, so its max is its largest magnitude,
+        # and a NaN makes the max NaN and fails the test
+        if (not self.model.is_even_potential
+                and not np.max(s - s.T, initial=0.0) <= 1e-12):
             raise DomainError("sgn matrix must be symmetric")
-        if np.any(np.abs(s) > 1.0 + 1e-9):
-            raise DomainError("sgn matrix entries must lie in [-1, 1]")
-        if self.model.is_even_potential:
-            if np.any(np.abs(np.diag(s)) > 1e-12):
+        for lo in range(0, s.shape[0], 256):  # a ToeplitzBlock, in row chunks
+            if not np.all(np.abs(s[lo:lo + 256]) <= 1.0 + 1e-9):
                 raise DomainError(
-                    "parity-even models have vanishing diagonal sgn entries")
+                    "sgn matrix entries must be finite and lie in [-1, 1]")
 
     @property
     def dim(self):
         return len(self.indices)
 
+    def sgn_matmul(self, x):
+        """sgn(Q) @ x for a real or complex (dim, k) block x, complex."""
+        x = np.ascontiguousarray(x, dtype=complex).view(float)
+        if not self.model.is_even_potential:
+            return (self.sgn @ x).view(complex)
+        even, odd = parity_positions(self.indices)
+        y = np.empty_like(x)
+        y[even] = self.sgn @ x[odd]
+        y[odd] = self.sgn.T @ x[even]
+        return y.view(complex)
+
     def to_json_dict(self):
+        s = self.sgn
         return {
             "schema": SCHEMA_VERSION,
             "model": self.model.describe(),
             "indices": [int(n) for n in self.indices],
             "energies": [float(e) for e in self.energies],
-            "sgn_matrix": [float(v) for v in np.asarray(self.sgn).ravel()],
+            "sgn": ({"toeplitz": [s.a.tolist(), s.b.tolist(), s.t.tolist()]}
+                    if isinstance(s, ToeplitzBlock) else
+                    {"shape": list(s.shape), "dense": s.ravel().tolist()}),
         }
 
     def save(self, path):
@@ -447,8 +499,9 @@ class SpectrumSlice:
             raise DomainError(f"unknown slice schema {data.get('schema')!r}")
         if data.get("model") != model.describe():
             raise DomainError("cached slice was built for a different model")
-        dim = len(data["indices"])
-        sgn = np.array(data["sgn_matrix"], dtype=float).reshape(dim, dim)
+        sgn = data["sgn"]
+        sgn = (ToeplitzBlock(*sgn["toeplitz"]) if "toeplitz" in sgn else
+               np.array(sgn["dense"], dtype=float).reshape(sgn["shape"]))
         return SpectrumSlice(model, tuple(data["indices"]),
                              np.array(data["energies"], dtype=float), sgn)
 

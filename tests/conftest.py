@@ -29,6 +29,27 @@ def morse_model():
     return models.morse(8.0)
 
 
+def full_sgn(model, indices, energies=None):
+    """The dense sgn(Q) matrix on ``indices``: for a parity-even model the
+    even x odd block of ``sgn_matrix`` is placed with its transpose."""
+    from dyncert import spectra
+    indices = np.asarray(indices)
+    s = spectra.sgn_matrix(model, indices, energies=energies, check=False)
+    return expand_sgn(model, indices, s)
+
+
+def expand_sgn(model, indices, s):
+    """The dense sgn(Q) matrix from the form a slice holds it in."""
+    from dyncert import spectra
+    if not model.is_even_potential:
+        return np.asarray(s)
+    even, odd = spectra.parity_positions(indices)
+    full = np.zeros((len(indices), len(indices)))
+    full[np.ix_(even, odd)] = s[:]
+    full[np.ix_(odd, even)] = s[:].T
+    return full
+
+
 def sgn_overlap_oracle(model, n, m, n_points=300001):
     """High-accuracy <n| sgn(q) |m> by composite quadrature (scipy-free
     trapezoid on a dense grid chosen per model)."""

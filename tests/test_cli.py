@@ -134,6 +134,13 @@ class TestSimulate:
                              "--rounds", "1000", "--seed", seed)
         assert code == 2 and out == "" and "seed" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_exit_2(self, capsys, workers):
+        code, out, err = run(capsys, "simulate", "--model", "harmonic",
+                             "--state", "psi6", "--tau", "1",
+                             "--rounds", "1000", "--workers", workers)
+        assert code == 2 and out == "" and "workers" in err
+
     def test_state_file_cross_command(self, capsys, tmp_path):
         code, out, _ = run(capsys, "score", "--model", "kerr", "--alpha",
                            "0.02", "--tau", "1", "--nmax", "10")
@@ -194,6 +201,31 @@ class TestCacheAndConfig:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert any(p.name.startswith("slice-") for p in cache.iterdir())
+
+    def test_cache_hit_prints_miss_bytes_pendulum(self, capsys, tmp_path):
+        argv = ["score", "--model", "pendulum", "--alpha", "-0.02", "--tau",
+                "1", "--cache", str(tmp_path / "cache")]
+        miss = run(capsys, *argv)
+        hit = run(capsys, *argv)
+        assert miss[0] == hit[0] == 0
+        assert hit[1] == miss[1]
+
+    def test_cache_hit_same_score_above_dense_limit(self, tmp_path):
+        # harmonic window slices above DENSE_EIG_LIMIT hold a Toeplitz
+        # generator; the cached one must score to the same bytes
+        from dyncert import cli, models, protocol, spectra
+        from dyncert.classical import EnergyWindow
+        from dyncert.numerics import DENSE_EIG_LIMIT
+        mdl, window = models.harmonic(), EnergyWindow(0.0, 300.5)
+        texts = []
+        for _ in range(2):
+            slc = cli.cached_slice(mdl, window, str(tmp_path))
+            assert slc.dim > DENSE_EIG_LIMIT
+            assert isinstance(slc.sgn, spectra.ToeplitzBlock)
+            texts.append(json.dumps(
+                protocol.max_score(slc, 1.0, window=window).to_json_dict()))
+        assert len(list(tmp_path.iterdir())) == 1
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("mode", [
         ["--tau", "1", "--nmax", "6"],

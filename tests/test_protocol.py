@@ -7,11 +7,12 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from dyncert import models, protocol
+from dyncert import models, protocol, spectra
 from dyncert.classical import energy_window
 from dyncert.errors import DomainError, NumericalInstabilityError
 from dyncert.numerics import (DENSE_EIG_LIMIT, _lanczos,
                               hermitian_max_eigenpair)
+from conftest import expand_sgn
 
 
 class TestQuantumState:
@@ -36,7 +37,8 @@ def _direct_q3(slc, tau):
     es = np.asarray(slc.energies)
     theta = 2 * np.pi * (es[:, None] - es[None, :]) / 3.0
     phases = sum(np.exp(1j * k * tau * theta) for k in range(3))
-    return 0.5 * np.eye(slc.dim) + np.asarray(slc.sgn) / 6.0 * phases
+    s = expand_sgn(slc.model, slc.indices, slc.sgn)
+    return 0.5 * np.eye(slc.dim) + s / 6.0 * phases
 
 
 class TestBuildQ3:
@@ -89,15 +91,51 @@ class TestMaxScore:
             assert len(calls) < 40
             assert abs(protocol.max_score(slc, tau).p3_max - 2.0 / 3.0) < 1e-9
 
+    @pytest.mark.parametrize("mdl,n_hat", [
+        (m, n) for m, n in FIVE_MODELS if m.is_even_potential])
+    def test_bipartite_score_matches_full_eigvalsh(self, mdl, n_hat):
+        # 1/2 + sigma_max of the half-size block is the top of the full Q3
+        slc = protocol.truncated_slice(mdl, n_hat, check=False)
+        for tau in (0.75, 0.9, 1.0, 1.3, 1.5):
+            r = protocol.max_score(slc, tau)
+            q = _direct_q3(slc, tau)
+            assert abs(r.p3_max - np.linalg.eigvalsh(q)[-1]) < 1e-12
+            psi = r.state.amplitudes
+            assert np.linalg.norm(q @ psi - r.p3_max * psi) <= 1e-10
+            top = psi[np.argmax(np.abs(psi))]
+            assert top.real > 0 and abs(top.imag) <= 1e-15
+
+    @pytest.mark.parametrize("mdl,n_hat,limit", [
+        (models.harmonic(), 300, None), (models.kerr(0.02), 300, None),
+        (models.kerr(-0.02), 49, 16)])
+    def test_fft_matvec_matches_dense_block(self, monkeypatch, mdl, n_hat,
+                                            limit):
+        # Kerr alpha = -0.02 holds 50 levels, so its limit is lowered
+        if limit is not None:
+            monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", limit)
+        slc = protocol.truncated_slice(mdl, n_hat, check=False)
+        assert isinstance(slc.sgn, spectra.ToeplitzBlock)
+        dense = dataclasses.replace(slc, sgn=slc.sgn[:])
+        rng = np.random.default_rng(n_hat)
+        v = np.array([1.0, 1j]) @ rng.standard_normal((2, slc.dim))
+        for tau in (0.75, 1.0, 1.3):
+            got = protocol.build_q3(slc, tau).matvec(v)
+            ref = protocol.build_q3(dense, tau).matvec(v)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            probs = protocol.round_probabilities(
+                protocol.QuantumState(slc, v / np.linalg.norm(v)), tau)
+            ref_probs = protocol.round_probabilities(
+                protocol.QuantumState(dense, v / np.linalg.norm(v)), tau)
+            assert np.allclose(probs, ref_probs, rtol=0.0, atol=1e-12)
+
     def test_score_state_consistent(self, harmonic_slice6):
         r = protocol.max_score(harmonic_slice6, 1.0)
         assert abs(protocol.score_state(r.state, 1.0) - r.p3_max) < 1e-12
 
     def test_corrupted_sgn_raises(self, harmonic_slice6):
-        # symmetric, zero diagonal and entries in [-1, 1], so the slice
-        # accepts it; its spectrum (6 and -1) puts Q3 outside [0, 1]
-        bad = dataclasses.replace(harmonic_slice6,
-                                  sgn=np.ones((7, 7)) - np.eye(7))
+        # an all-ones even x odd block has entries in [-1, 1], so the slice
+        # accepts it; its singular value sqrt(12) puts Q3 outside [0, 1]
+        bad = dataclasses.replace(harmonic_slice6, sgn=np.ones((4, 3)))
         with pytest.raises(NumericalInstabilityError):
             protocol.max_score(bad, 1.0)
         state = protocol.QuantumState(bad, np.full(7, 1.0 / sqrt(7.0)))

@@ -17,7 +17,7 @@ import scipy.special as sps
 from dyncert import models, protocol, spectra
 from dyncert.classical import EnergyWindow, energy_window
 from dyncert.errors import DomainError, EmptySliceError
-from conftest import sgn_overlap_oracle
+from conftest import full_sgn, sgn_overlap_oracle
 
 
 class TestEnergies:
@@ -179,7 +179,7 @@ class TestMorsePolynomials:
 
 class TestSgn:
     def test_harmonic_vs_mpmath_quadrature(self):
-        s = spectra.sgn_matrix(models.harmonic(), np.arange(8), check=False)
+        s = full_sgn(models.harmonic(), np.arange(8))
 
         def psi(n, x):
             norm = mpmath.sqrt(2 ** n * mpmath.factorial(n)
@@ -201,24 +201,25 @@ class TestSgn:
             d = o - e
             ref = float((-1) ** ((d - 1) // 2)
                         * mpmath.sqrt(c_e * 2 * o / mpmath.pi * c_o) / d)
-        s = spectra.sgn_matrix(models.harmonic(), [e, o], check=False)
+        s = full_sgn(models.harmonic(), [e, o])
         assert s[0, 1] == s[1, 0]
         assert abs(s[0, 1] - ref) <= 1e-13 * abs(ref)
 
     def test_harmonic_offset_window_is_a_sub_block(self):
-        full = spectra.sgn_matrix(models.harmonic(), np.arange(120),
-                                  check=False)
-        part = spectra.sgn_matrix(models.harmonic(), np.arange(37, 120),
-                                  check=False)
+        full = full_sgn(models.harmonic(), np.arange(120))
+        part = full_sgn(models.harmonic(), np.arange(37, 120))
         assert np.array_equal(part, full[37:, 37:])
 
     def test_even_models_zero_diagonal(self):
+        # only the even x odd block is held, so the diagonal and the
+        # same-parity entries are zero by layout
         for mdl in (models.harmonic(), models.pendulum(-0.05),
                     models.infinite_well()):
             idx = (np.arange(1, 6) if mdl.kind == models.WELL
                    else np.arange(5))
             s = spectra.sgn_matrix(mdl, idx, check=False)
-            assert np.max(np.abs(np.diag(s))) < 1e-12
+            assert s.shape == (np.sum(idx % 2 == 0), np.sum(idx % 2 == 1))
+            assert np.max(np.abs(np.diag(full_sgn(mdl, idx)))) == 0.0
 
     def test_morse_diag_vs_quadrature(self):
         for lam in (5.0, 10.0, 20.0):
@@ -240,7 +241,7 @@ class TestSgn:
         nmax = max(max(p) for p in pairs)
         idx = (np.arange(1, nmax + 1) if mdl.kind == models.WELL
                else np.arange(nmax + 1))
-        s = spectra.sgn_matrix(mdl, idx, check=False)
+        s = full_sgn(mdl, idx)
         pos_of = {int(n): i for i, n in enumerate(idx)}
         for n, m in pairs:
             ref = sgn_overlap_oracle(mdl, n, m)
@@ -262,6 +263,33 @@ class TestSpectrumSlice:
         assert np.allclose(loaded.energies, slc.energies)
         assert np.allclose(loaded.sgn, slc.sgn)
 
+    @pytest.mark.parametrize("mdl,n_hat", [
+        (models.harmonic(), 300), (models.pendulum(-0.02), 20),
+        (models.infinite_well(), 30), (models.morse(8.0), 6)])
+    def test_roundtrip_v2_is_exact(self, tmp_path, mdl, n_hat):
+        # schema v2 holds a parity-even slice's block: a Toeplitz generator
+        # for harmonic above DENSE_EIG_LIMIT, else the dense block
+        slc = protocol.truncated_slice(mdl, n_hat, check=False)
+        path = tmp_path / "slice.json"
+        slc.save(path)
+        loaded = spectra.SpectrumSlice.load(path, mdl)
+        assert type(loaded.sgn) is type(slc.sgn)
+        assert loaded.sgn.shape == slc.sgn.shape
+        assert np.array_equal(loaded.sgn[:], slc.sgn[:])
+        assert json.dumps(loaded.to_json_dict()) == json.dumps(
+            slc.to_json_dict())
+        assert json.loads(path.read_text())["schema"] == \
+            "dyncert.spectrum-slice.v2"
+
+    def test_load_rejects_short_toeplitz_generator(self, tmp_path):
+        mdl = models.harmonic()
+        data = protocol.truncated_slice(mdl, 300, check=False).to_json_dict()
+        data["sgn"]["toeplitz"][2].pop()
+        path = tmp_path / "slice.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DomainError, match="Toeplitz"):
+            spectra.SpectrumSlice.load(path, mdl)
+
     def test_model_mismatch(self, tmp_path):
         mdl = models.kerr(0.02)
         slc = spectra.spectrum_slice(mdl, energy_window(mdl, 1.0),
@@ -279,11 +307,13 @@ class TestSpectrumSlice:
         assert k1 != k2
 
     def test_load_rejects_asymmetric_sgn(self, tmp_path):
-        mdl = models.kerr(0.02)
+        # a parity-even slice holds only its even x odd block; Morse holds
+        # the full matrix, whose symmetry a cache file can break
+        mdl = models.morse(8.0)
         slc = spectra.spectrum_slice(mdl, energy_window(mdl, 1.0),
                                      check=False)
         data = slc.to_json_dict()
-        data["sgn_matrix"][1] += 1e-6  # entry (0, 1) only
+        data["sgn"]["dense"][1] += 1e-6  # entry (0, 1) only
         path = tmp_path / "slice.json"
         path.write_text(json.dumps(data))
         with pytest.raises(DomainError, match="symmetric"):
@@ -292,14 +322,20 @@ class TestSpectrumSlice:
     def test_nan_sgn_rejected(self):
         sgn = np.array([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(DomainError, match="symmetric"):
-            spectra.SpectrumSlice(models.harmonic(), (0, 1),
+            spectra.SpectrumSlice(models.morse(8.0), (0, 1),
                                   np.array([0.5, 1.5]), sgn)
+        with pytest.raises(DomainError, match="finite"):
+            spectra.SpectrumSlice(models.harmonic(), (0, 1),
+                                  np.array([0.5, 1.5]), np.array([[np.nan]]))
 
     def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="shape"):
             spectra.SpectrumSlice(models.harmonic(), (0, 1),
                                   np.array([0.5, 1.5]),
-                                  np.array([[0.0, 2.0], [2.0, 0.0]]))
+                                  np.array([[0.0, 0.5], [0.5, 0.0]]))
+        with pytest.raises(DomainError, match=r"\[-1, 1\]"):
+            spectra.SpectrumSlice(models.harmonic(), (0, 1),
+                                  np.array([0.5, 1.5]), np.array([[2.0]]))
 
 
 @pytest.fixture
@@ -342,7 +378,7 @@ class TestPendulumMathieu:
                      - sols[n].value(0.0) * sols[m].derivative(0.0))
                 ref[n, m] = ref[m, n] = (4.0 * abs(mdl.alpha) * w
                                          / (pi * (es[n] - es[m])))
-        got = spectra.sgn_matrix(mdl, idx, energies=es, check=False)
+        got = full_sgn(mdl, idx, energies=es)
         assert np.array_equal(got, ref)
 
     def test_one_solve_per_model(self, counted_mathieu):
