@@ -27,8 +27,8 @@ print("P(q > 0) at the three probing times: "
 print("\nThese are equal, and so are the three probing-time densities "
       "(that is what makes the state optimal):")
 qs = np.linspace(-6, 6, 1201)
-d0 = simulate.marginal_density(psi6, 0.0, 1.0, qs)
-d1 = simulate.marginal_density(psi6, 1.0 / 3.0, 1.0, qs)
+d0 = phasespace.marginal_density(psi6, 0.0, 1.0, qs)
+d1 = phasespace.marginal_density(psi6, 1.0 / 3.0, 1.0, qs)
 print(f"  max |rho_0 - rho_1| = {np.max(np.abs(d0 - d1)):.2e}")
 print(f"  positive-side mass  = {np.trapezoid(d0[qs >= 0], qs[qs >= 0]):.6f}")
 

@@ -13,11 +13,12 @@ from .errors import (ConvergenceError, DomainError, DyncertError,
                      NumericalInstabilityError, UnsupportedTauError)
 from .models import (ModelSystem, harmonic, infinite_well, kerr, morse,
                      pendulum)
-from .phasespace import WignerGrid, wigner_angular, wigner_cartesian
+from .phasespace import (WignerGrid, marginal_density, wigner_angular,
+                         wigner_cartesian)
 from .protocol import (QuantumState, ScoreResult, build_q3, max_score,
                        reference_state, scan_tau, scenario_compare,
                        score_state, truncated_slice)
-from .simulate import McEstimate, marginal_density, run_protocol
+from .simulate import McEstimate, run_protocol
 from .spectra import SpectrumSlice, sgn_matrix, spectrum_slice
 
 __version__ = "0.1.0"

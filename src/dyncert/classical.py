@@ -164,14 +164,14 @@ def energy_window(model, tau):
         return EnergyWindow(e_min, e_max)
 
     if kind == models.MORSE:
-        if abs(tau - 1.0) > 1e-12:
+        if not abs(tau - 1.0) <= 1e-12:
             raise UnsupportedTauError(
                 "the Morse protocol runs at tau = 1 only (harmonic trapping times)")
         return EnergyWindow(0.0, inf)
 
     # infinite well
-    if tau <= 0:
-        raise UnsupportedTauError("well probing ratio must be positive")
+    if not 0.0 < tau < inf:
+        raise UnsupportedTauError("well probing ratio must be positive and finite")
     return EnergyWindow(9.0 / (16.0 * tau * tau), 9.0 / (4.0 * tau * tau))
 
 
@@ -350,8 +350,6 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
             keep = (e >= window.e_min) & (e <= min(window.e_max, e_cap))
             if kerr_h0_cap is not None:
                 keep &= 0.5 * (q * q + p * p) <= kerr_h0_cap
-            # drop the trivial fixed point at the origin (its score is 1/2)
-            keep &= ~((np.abs(q) < POS_BOUNDARY_TOL) & (np.abs(p) < POS_BOUNDARY_TOL))
             if not keep.any() and size == 2 * n:
                 raise EmptyWindowError("rejection sampler found no states in the window")
             qs.append(q[keep])

@@ -152,7 +152,10 @@ def _state_for(args, model):
                               f"of {model.describe()}")
         for n, a in zip(indices, amps):
             full[pos_of[int(n)]] = a
-        full /= np.linalg.norm(full)
+        norm = np.linalg.norm(full)
+        if not norm > 0.0:
+            raise DomainError(f"state file amplitudes have norm {norm}")
+        full /= norm
         return protocol.QuantumState(slc, full)
     raise DomainError(f"unknown state {spec_str!r}; use psi6, psi4 or file:PATH")
 
@@ -162,6 +165,8 @@ def _state_for(args, model):
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args):
+    if args.energy_points < 1:
+        raise DomainError("--energy-points must be positive")
     model = build_model(args)
     window = energy_window(model, args.tau) if args.tau is not None else None
     lo, hi = model.energy_range()
@@ -199,11 +204,14 @@ def _tau_grid(args):
     if args.tau_points < 1:
         raise DomainError("--tau-points must be positive")
     if args.tau_min is not None and args.tau_max is not None:
-        return np.linspace(args.tau_min, args.tau_max, args.tau_points)
-    if args.tau is not None:
-        return np.linspace(0.5 * args.tau, min(2.0 * args.tau, 3.0),
-                           args.tau_points)
-    raise DomainError("--scan needs --tau-min/--tau-max or --tau")
+        ends = (args.tau_min, args.tau_max)
+    elif args.tau is not None:
+        ends = (0.5 * args.tau, min(2.0 * args.tau, 3.0))
+    else:
+        raise DomainError("--scan needs --tau-min/--tau-max or --tau")
+    if not np.all(np.isfinite(ends)):
+        raise DomainError(f"scan taus {ends} must be finite")
+    return np.linspace(*ends, args.tau_points)
 
 
 def cmd_score(args):
@@ -267,25 +275,27 @@ def cmd_wigner(args):
     if model.kind != models.PENDULUM and args.angular:
         raise DomainError("--angular applies only to the pendulum")
     state = _state_for(args, model)
+    if args.angular:
+        kind = "angular"
+        marg_axis = np.linspace(-np.pi, np.pi, args.grid_points)
+    else:
+        kind = "cartesian"
+        marg_axis, p_axis = phasespace.default_axes(
+            state, n_q=args.grid_points, n_p=args.grid_points)
+    # densities first, so that a rejected tau builds no grid and writes nothing
+    densities = [phasespace.marginal_density(state, frac, args.tau, marg_axis)
+                 for frac in (0.0, 1.0 / 3.0, 2.0 / 3.0)]
+    if args.angular:
+        grid = phasespace.wigner_angular(state, marg_axis,
+                                         phasespace.default_m_range(state))
+    else:
+        grid = phasespace.wigner_cartesian(state, marg_axis, p_axis)
     out_dir = Path(args.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.angular:
-        phis = np.linspace(-np.pi, np.pi, args.grid_points)
-        grid = phasespace.wigner_angular(state, phis,
-                                         phasespace.default_m_range(state))
-        kind = "angular"
-        marg_axis = phis
-    else:
-        q_axis, p_axis = phasespace.default_axes(
-            state, n_q=args.grid_points, n_p=args.grid_points)
-        grid = phasespace.wigner_cartesian(state, q_axis, p_axis)
-        kind = "cartesian"
-        marg_axis = q_axis
     (out_dir / "wigner.csv").write_text(phasespace.wigner_to_csv(grid))
     (out_dir / "wigner.json").write_text(
         phasespace.sidecar_json(state, args.tau, kind))
-    for k, frac in enumerate((0.0, 1.0 / 3.0, 2.0 / 3.0)):
-        dens = simulate.marginal_density(state, frac, args.tau, marg_axis)
+    for k, dens in enumerate(densities):
         lines = ["q,density"] + [f"{q!r},{v!r}"
                                  for q, v in zip(marg_axis.tolist(),
                                                  dens.tolist())]

@@ -1,4 +1,5 @@
-"""Wigner-function grids for visual diagnostics.
+"""Wavefunctions in position space: position densities at the probing
+times, and Wigner-function grids for visual diagnostics.
 
 Cartesian models get the standard Wigner transform; the pendulum gets a
 discrete angular-momentum Wigner kernel whose position and momentum
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import models, spectra
 from .errors import DomainError
-from .simulate import position_grid
 
 NORMALIZATION_TOL = 1e-3
 
@@ -42,7 +42,7 @@ class WignerGrid:
         object.__setattr__(self, "p_axis", p)
         object.__setattr__(self, "values", v)
         total = self.integral()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise DomainError(
                 f"Wigner grid integrates to {total}, expected 1 within 1e-3; "
                 "the axes do not cover the state's phase-space support")
@@ -56,20 +56,37 @@ class WignerGrid:
         return np.trapezoid(self.values, self.p_axis, axis=1)
 
 
-def _psi_at(state, pts):
-    """Synthesized wavefunction at arbitrary points (zero outside a box)."""
+def wavefunction(state, pts, k_tau=0.0):
+    """psi(q, t) = sum_n c_n e^{-i E_n t} psi_n(q) at the probing time
+    t = k tau T/3, given as ``k_tau`` = k tau, at arbitrary points ``pts``
+    of any shape (zero outside a box)."""
+    phases = np.exp(-1j * np.asarray(state.slice.energies)
+                    * k_tau * 2.0 * pi / 3.0)
     model = state.slice.model
     flat = np.asarray(pts, dtype=float).ravel()
     table = np.array([spectra.eigenfunction_grid(model, int(n), flat)
                       for n in state.slice.indices])
-    return (state.amplitudes @ table).reshape(np.shape(pts))
+    return ((state.amplitudes * phases) @ table).reshape(np.shape(pts))
+
+
+def marginal_density(state, t_fraction, tau, qs):
+    """Position density |<q|psi(k tau T/3)>|^2 at the positions ``qs``."""
+    k = {0.0: 0, 1.0 / 3.0: 1, 2.0 / 3.0: 2}.get(float(t_fraction))
+    if k is None:
+        raise DomainError("t_fraction must be one of 0, 1/3, 2/3")
+    if not np.isfinite(tau):
+        raise DomainError(f"probing ratio {tau} is not finite")
+    return np.abs(wavefunction(state, qs, k * tau)) ** 2
+
+
+def _span(state):
+    return spectra.position_span(state.slice.model, max(state.slice.indices))
 
 
 def default_axes(state, n_q=201, n_p=201):
     """Axes generously covering the state's phase-space support."""
     model = state.slice.model
-    grid = position_grid(state, 1001)
-    q_axis = np.linspace(grid[0], grid[-1], n_q)
+    q_axis = np.linspace(*_span(state), n_q)
     e_hi = float(max(state.slice.energies))
     if model.kind == models.WELL:
         n_hi = max(state.slice.indices)
@@ -90,11 +107,10 @@ def wigner_cartesian(state, q_axis, p_axis, n_y=2001):
         raise DomainError("pendulum states require the angular Wigner kernel")
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
-    grid = position_grid(state, 101)
-    half_span = 0.5 * (grid[-1] - grid[0])
-    ys = np.linspace(-half_span, half_span, n_y)
-    plus = _psi_at(state, q_axis[:, None] + ys[None, :])
-    minus = _psi_at(state, q_axis[:, None] - ys[None, :])
+    lo, hi = _span(state)
+    ys = np.linspace(-0.5 * (hi - lo), 0.5 * (hi - lo), n_y)
+    plus = wavefunction(state, q_axis[:, None] + ys[None, :])
+    minus = wavefunction(state, q_axis[:, None] - ys[None, :])
     corr = np.conj(plus) * minus
     weights = np.full(n_y, ys[1] - ys[0])
     weights[0] = weights[-1] = 0.5 * (ys[1] - ys[0])
@@ -106,7 +122,7 @@ def wigner_cartesian(state, q_axis, p_axis, n_y=2001):
 def _fourier_modes(state, n_samples=2048):
     """Integer-harmonic coefficients a_l with psi(phi) = sum a_l e^{il phi}."""
     phis = -pi + 2.0 * pi * np.arange(n_samples) / n_samples
-    psi = _psi_at(state, phis)
+    psi = wavefunction(state, phis)
     raw = np.fft.fft(psi) / n_samples
     ls = np.fft.fftfreq(n_samples, d=1.0 / n_samples).astype(int)
     coeffs = raw * np.exp(1j * ls * pi)  # undo the -pi grid offset

@@ -38,7 +38,7 @@ class QuantumState:
         if amps.shape != (self.slice.dim,):
             raise DomainError("amplitudes must align with the slice levels")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise DomainError(f"state norm {norm} deviates from 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -69,6 +69,8 @@ class ScoreResult:
 
 def _phase_vectors(energies, tau):
     """Rows d_k[i] = exp(i k tau 2 pi E_i / 3) for k = 0, 1, 2."""
+    if not np.isfinite(tau):
+        raise DomainError(f"probing ratio {tau} is not finite")
     base = np.exp(1j * tau * 2.0 * pi * np.asarray(energies) / 3.0)
     return np.stack([np.ones_like(base), base, base * base])
 

@@ -1,5 +1,6 @@
-"""Quantum side per model: energy levels, eigenfunctions, and the matrix
-of sgn(Q) on a truncated eigenbasis.
+"""Quantum side per model: energy levels, eigenfunctions and the span of
+positions that holds them, and the matrix of sgn(Q) on a truncated
+eigenbasis.
 
 Energies are in hbar*omega0 and positions in each model's natural length
 unit (see models module). All eigenfunctions are taken in a real gauge, so
@@ -13,7 +14,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass
-from math import pi, sqrt, log, lgamma, isinf, floor, ceil
+from math import pi, sqrt, log, log1p, lgamma, isinf, floor, ceil
 
 import numpy as np
 
@@ -227,6 +228,37 @@ def eigenfunction_grid(model, n, qs):
     return np.where(np.abs(qs) <= 0.5, vals, 0.0)
 
 
+def position_span(model, n):
+    """Positions (lo, hi), lo < 0 < hi, holding all but < 1e-8 of the mass
+    of each level 0..n.
+
+    Spans the classical turning points of level n, widened by five decay
+    lengths of the slowest-decaying tail; compact domains (pendulum angle,
+    box) are covered exactly. A Morse level within 0.05 of the threshold
+    index lambda - 1/2 keeps more than 1e-8 beyond the capped left reach.
+    """
+    kind = model.kind
+    if kind == models.PENDULUM:
+        return -pi, pi
+    if kind == models.WELL:
+        return -0.5, 0.5
+    if kind in (models.HARMONIC, models.KERR):
+        # Hermite functions: turning point sqrt(2n + 1), unit decay length
+        lim = sqrt(2.0 * n + 1.0) + 5.0
+        return -lim, lim
+    # Morse: left tail decays like exp((lambda - n - 1/2) x), right tail
+    # super-exponentially in z = 2 lambda e^x
+    lam = model.lambda_morse
+    de = models.morse_dissociation_energy(model)
+    r = min(float(morse_energy(lam, n)) / de, 1.0 - 1e-12)
+    kappa = max(lam - n - 0.5, 0.05)
+    # |psi|^2 ~ exp(2 kappa x) to the left: reach down to e^-30 residual
+    # mass; the floor caps the reach at 300 for levels just below threshold
+    lo = log1p(-sqrt(r)) - 15.0 / kappa - 1.0
+    hi = log1p(sqrt(r)) + 5.0 * max(1.0 / sqrt(2.0 * lam * de), 0.5)
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # sgn matrix elements
 # ---------------------------------------------------------------------------
@@ -344,25 +376,9 @@ def _morse_sgn(lam, ns):
     return s
 
 
-def _quadrature_domain(model, n, m):
-    """Integration limits (lo, hi), lo < 0 < hi, holding <n|sgn(Q)|m>."""
-    kind = model.kind
-    if kind in (models.HARMONIC, models.KERR):
-        x_max = sqrt(2.0 * (max(n, m) + 0.5)) + 10.0
-        return -x_max, x_max
-    if kind == models.PENDULUM:
-        return -pi, pi
-    if kind == models.MORSE:
-        lam = model.lambda_morse
-        x_hi = log(1.0 + sqrt(2.0 * max(morse_energy(lam, n), 1.0) / lam)) + 3.0
-        x_lo = -(40.0 + 10.0 * sqrt(lam)) / min(lam, 40.0) - 10.0
-        return x_lo, x_hi
-    return -0.5, 0.5
-
-
 def sgn_quadrature(model, n, m, n_points=40001):
     """Direct quadrature of <n|sgn(Q)|m> as an independent cross-check."""
-    lo, hi = _quadrature_domain(model, n, m)
+    lo, hi = position_span(model, max(n, m))
     plus, minus = (
         np.trapezoid(eigenfunction_grid(model, n, xs)
                      * eigenfunction_grid(model, m, xs), xs)
@@ -419,7 +435,7 @@ def sgn_matrix(model, indices, energies=None, check=True):
                 if max(n, m) > _CHECK_INDEX_CAP:
                     continue
                 ref = sgn_quadrature(model, n, m)
-                if abs(head[i, j] - ref) > SGN_CHECK_TOL:
+                if not abs(head[i, j] - ref) <= SGN_CHECK_TOL:
                     raise NumericalInstabilityError(
                         f"sgn matrix entry ({n},{m}) = {head[i, j]:.9g} "
                         f"disagrees with quadrature {ref:.9g} beyond "

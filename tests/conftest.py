@@ -9,7 +9,7 @@ from math import inf, pi, sqrt
 import numpy as np
 import pytest
 
-from dyncert import classical, models, protocol, simulate
+from dyncert import classical, models, protocol, simulate, spectra
 from dyncert.classical import TrappingTimes, pos
 from dyncert.numerics import quad_inverse_sqrt
 
@@ -32,7 +32,6 @@ def morse_model():
 def full_sgn(model, indices, energies=None):
     """The dense sgn(Q) matrix on ``indices``: for a parity-even model the
     even x odd block of ``sgn_matrix`` is placed with its transpose."""
-    from dyncert import spectra
     indices = np.asarray(indices)
     s = spectra.sgn_matrix(model, indices, energies=energies, check=False)
     return expand_sgn(model, indices, s)
@@ -40,7 +39,6 @@ def full_sgn(model, indices, energies=None):
 
 def expand_sgn(model, indices, s):
     """The dense sgn(Q) matrix from the form a slice holds it in."""
-    from dyncert import spectra
     if not model.is_even_potential:
         return np.asarray(s)
     even, odd = spectra.parity_positions(indices)
@@ -53,7 +51,6 @@ def expand_sgn(model, indices, s):
 def sgn_overlap_oracle(model, n, m, n_points=300001):
     """High-accuracy <n| sgn(q) |m> by composite quadrature (scipy-free
     trapezoid on a dense grid chosen per model)."""
-    from dyncert import spectra
 
     def grid(lo, hi, n):
         # keep q = 0 as a knot: sign(q) has a kink there
@@ -198,14 +195,26 @@ def yoshida_trajectory(model, q0, p0, t):
 # position-space references for the Monte Carlo rounds
 # ---------------------------------------------------------------------------
 
+def span_grid(state, n_points):
+    """Evenly spaced positions over the span of the state's levels."""
+    return np.linspace(*spectra.position_span(state.slice.model,
+                                              max(state.slice.indices)),
+                       n_points)
+
+
 def _grid_cdfs(state, tau, n_points):
-    """Positions qs and the trapezoid CDF of the evolved density on them
-    at each probing time, checked to cover all but 1e-8 of the mass."""
-    qs = simulate.position_grid(state, n_points)
-    table = simulate._wavefunction_table(state, qs)
+    """Positions qs of ``span_grid`` and the trapezoid CDF of the evolved
+    density on them at each probing time, checked to cover all but 1e-8
+    of the mass."""
+    qs = span_grid(state, n_points)
+    model = state.slice.model
+    table = np.array([spectra.eigenfunction_grid(model, int(n), qs)
+                      for n in state.slice.indices])
+    energies = np.asarray(state.slice.energies)
     cdfs = []
     for k in range(3):
-        dens = simulate._evolved_density(state, table, tau, k)
+        phases = np.exp(-1j * energies * k * tau * 2.0 * pi / 3.0)
+        dens = np.abs((state.amplitudes * phases) @ table) ** 2
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                                * np.diff(qs))])
         assert cum[-1] >= 1.0 - 1e-8, f"grid covers only {cum[-1]} of the mass"

@@ -144,6 +144,14 @@ class TestEnergyWindow:
         with pytest.raises(UnsupportedTauError):
             energy_window(models.morse(10.0), 1.1)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("mdl", [models.morse(10.0),
+                                     models.infinite_well()],
+                             ids=["morse", "well"])
+    def test_non_finite_tau_rejected(self, mdl, tau):
+        with pytest.raises(UnsupportedTauError):
+            energy_window(mdl, tau)
+
 
 class TestTrajectories:
     def test_harmonic_rotation(self):

@@ -41,6 +41,22 @@ class TestBounds:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("model", [["morse", "--lambda", "10"], ["well"]])
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exit_2(self, capsys, tmp_path, model, tau):
+        out = tmp_path / "bounds.json"
+        code, _, err = run(capsys, "bounds", "--model", *model, "--tau", tau,
+                           "--output", str(out))
+        assert code == 2 and not out.exists()
+        assert json.loads(err)["error"]["type"] == "UnsupportedTauError"
+
+    def test_zero_energy_points_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "bounds.json"
+        code, _, err = run(capsys, "bounds", "--model", "well", "--tau", "1",
+                           "--energy-points", "0", "--output", str(out))
+        assert code == 2 and not out.exists()
+        assert "energy-points" in err
+
     def test_seed_is_not_a_bounds_flag(self, capsys):
         # only simulate reads --seed
         code, out, _ = run(capsys, "bounds", "--model", "well", "--tau", "1",
@@ -112,6 +128,20 @@ class TestScore:
         code, _, err = run(capsys, "score", "--model", "harmonic")
         assert code == 2
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    @pytest.mark.parametrize("taus", [["--tau", "{}"],
+                                      ["--scan", "--tau", "{}"],
+                                      ["--scan", "--tau-min", "{}",
+                                       "--tau-max", "1"]],
+                             ids=["single", "scan", "scan-min"])
+    def test_non_finite_tau_exit_2(self, capsys, tmp_path, taus, tau):
+        out = tmp_path / "score.json"
+        code, _, err = run(capsys, "score", "--model", "harmonic", "--nmax",
+                           "6", *[a.format(tau) for a in taus],
+                           "--output", str(out))
+        assert code == 2 and not out.exists()
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
 
 class TestSimulate:
     def test_psi6(self, capsys):
@@ -140,6 +170,15 @@ class TestSimulate:
                              "--state", "psi6", "--tau", "1",
                              "--rounds", "1000", "--workers", workers)
         assert code == 2 and out == "" and "workers" in err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exit_2(self, capsys, tmp_path, tau):
+        out = tmp_path / "estimate.json"
+        code, _, err = run(capsys, "simulate", "--model", "harmonic",
+                           "--tau", tau, "--rounds", "100",
+                           "--output", str(out))
+        assert code == 2 and not out.exists()
+        assert json.loads(err)["error"]["type"] == "DomainError"
 
     def test_state_file_cross_command(self, capsys, tmp_path):
         code, out, _ = run(capsys, "score", "--model", "kerr", "--alpha",
@@ -182,6 +221,24 @@ class TestWigner:
         names = {p.name for p in tmp_path.iterdir()}
         assert {"wigner.csv", "wigner.json", "marginal-t0.csv",
                 "marginal-t1.csv", "marginal-t2.csv"} <= names
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exit_2(self, capsys, tmp_path, tau):
+        code, _, err = run(capsys, "wigner", "--model", "harmonic", "--tau",
+                           tau, "--grid-points", "61",
+                           "--output", str(tmp_path / "w"))
+        assert code == 2 and not (tmp_path / "w").exists()
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
+    def test_zero_norm_state_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"indices": [0, 1],
+                                    "amplitudes": [[0, 0], [0, 0]]}))
+        code, _, err = run(capsys, "wigner", "--model", "harmonic", "--tau",
+                           "1", "--state", f"file:{path}", "--grid-points",
+                           "61", "--output", str(tmp_path / "w"))
+        assert code == 2 and not (tmp_path / "w").exists()
+        assert json.loads(err)["error"]["type"] == "DomainError"
 
     def test_pendulum_needs_angular(self, capsys):
         code, _, err = run(capsys, "wigner", "--model", "pendulum",

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dyncert import models, phasespace, protocol, simulate
+from dyncert import models, phasespace, protocol
 from dyncert.errors import DomainError
 
 
@@ -40,7 +40,7 @@ class TestCartesian:
     def test_marginal_matches_density(self, psi6):
         qa, pa = phasespace.default_axes(psi6)
         grid = phasespace.wigner_cartesian(psi6, qa, pa)
-        dens = simulate.marginal_density(psi6, 0.0, 1.0, qa)
+        dens = phasespace.marginal_density(psi6, 0.0, 1.0, qa)
         assert np.max(np.abs(grid.marginal_q() - dens)) < 1e-4
 
     def test_well_marginal(self):
@@ -48,7 +48,7 @@ class TestCartesian:
         state = protocol.max_score(slc, 0.4).state
         qa, pa = phasespace.default_axes(state)
         grid = phasespace.wigner_cartesian(state, qa, pa)
-        dens = simulate.marginal_density(state, 0.0, 0.4, qa)
+        dens = phasespace.marginal_density(state, 0.0, 0.4, qa)
         assert np.max(np.abs(grid.marginal_q() - dens)) < 1e-4
 
     def test_parity_symmetric_eigenstate(self):
@@ -73,7 +73,7 @@ class TestAngular:
                                          phasespace.default_m_range(
                                              pendulum_state))
         assert abs(grid.integral() - 1.0) < 1e-3
-        dens = simulate.marginal_density(pendulum_state, 0.0, 1.0, phis)
+        dens = phasespace.marginal_density(pendulum_state, 0.0, 1.0, phis)
         assert np.max(np.abs(grid.marginal_q() - dens)) < 1e-4
 
     def test_negativity_present(self, pendulum_state):
@@ -106,6 +106,20 @@ class TestAngular:
         with pytest.raises(DomainError):
             phasespace.wigner_angular(psi6, np.linspace(-np.pi, np.pi, 11),
                                       (-5, 5))
+
+
+class TestGuards:
+    def test_nan_grid_fails_normalization(self):
+        axis = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(DomainError):
+            phasespace.WignerGrid(axis, axis, np.full((5, 5), np.nan))
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("frac", [0.0, 1.0 / 3.0])
+    def test_marginal_rejects_non_finite_tau(self, psi6, frac, tau):
+        with pytest.raises(DomainError):
+            phasespace.marginal_density(psi6, frac, tau,
+                                        np.linspace(-1.0, 1.0, 11))
 
 
 class TestExport:

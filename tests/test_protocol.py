@@ -26,6 +26,12 @@ class TestQuantumState:
             protocol.QuantumState(harmonic_slice6,
                                   np.array([1.0 + 0j, 0.0]))
 
+    def test_nan_amplitude_rejected(self, harmonic_slice6):
+        amps = np.eye(7)[0].astype(complex)
+        amps[3] = np.nan
+        with pytest.raises(DomainError):
+            protocol.QuantumState(harmonic_slice6, amps)
+
 
 FIVE_MODELS = [(models.harmonic(), 40), (models.kerr(0.02), 20),
                (models.pendulum(-0.02), 20), (models.morse(8.0), 6),
@@ -152,6 +158,15 @@ class TestMaxScore:
         for tau in (0.8, 1.0, 1.3):
             assert protocol.max_score(harmonic_slice6, tau).p3_max \
                 >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, harmonic_slice6, tau):
+        state = protocol.reference_state("psi6", harmonic_slice6)
+        for call in (lambda: protocol.max_score(harmonic_slice6, tau),
+                     lambda: protocol.score_state(state, tau),
+                     lambda: protocol.round_probabilities(state, tau)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestReferenceStates:

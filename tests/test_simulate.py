@@ -1,17 +1,17 @@
 """Monte Carlo protocol simulation: Born probabilities, determinism,
-calibration, position densities."""
+calibration; the position densities the grid oracle integrates."""
 
 import numpy as np
 import pytest
 
-from dyncert import models, protocol, simulate, spectra
+from dyncert import models, phasespace, protocol, simulate, spectra
 from dyncert.classical import energy_window
 from dyncert.errors import DomainError
 from conftest import (cdf_samplers_reference, chunk_count_reference,
-                      grid_cdf_bounds, run_protocol_reference)
+                      grid_cdf_bounds, run_protocol_reference, span_grid)
 
-# grid of the position-space oracle: 3.1e-7 from the Born probabilities
-# on the Morse lambda = 20 optimal state, 5.0e-6 at 40001 points
+# grid of the position-space oracle: 5.3e-7 from the Born probabilities
+# on the Morse lambda = 20 optimal state, 6.0e-6 at 40001 points
 ORACLE_POINTS = 160001
 
 
@@ -39,8 +39,6 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("lam", [5.0, 10.0])
     def test_morse_optimal_state_matches_exact(self, lam):
-        # a step change at q = 0 in the Morse grid would cost the
-        # trapezoid rule more mass than the coverage check allows
         mdl = models.morse(lam)
         win = energy_window(mdl, 1.0)
         slc = spectra.spectrum_slice(mdl, win, check=False)
@@ -114,10 +112,6 @@ class TestSignOnlyKernel:
     def samplers(self, state_tau):
         return cdf_samplers_reference(*state_tau, ORACLE_POINTS)
 
-    def test_morse_grid_has_a_knot_at_zero(self):
-        state = _optimal_state(models.morse(5.0), 1.0)
-        assert np.any(simulate.position_grid(state) == 0.0)
-
     def test_round_probabilities_match_score_and_grid_oracle(self, state_tau):
         state, tau = state_tau
         probs = protocol.round_probabilities(state, tau)
@@ -127,9 +121,9 @@ class TestSignOnlyKernel:
 
     # A round scores differently from its position-sampled reference only
     # when its uniform falls between 1 - P_k and the grid's F(tol): with
-    # probability 3.1e-7 for Morse lambda = 20 and below 1.5e-8 for the
+    # probability 2.6e-7 for Morse lambda = 20 and below 1.5e-8 for the
     # other states. The two tests below draw 4e5 rounds per state, so
-    # 0.13 differing rounds are expected in all, nearly all for Morse 20.
+    # 0.11 differing rounds are expected in all, nearly all for Morse 20.
     @pytest.mark.parametrize("seed", [4, 2**40 + 7])
     def test_chunk_stats_match_reference(self, state_tau, samplers, seed):
         state, tau = state_tau
@@ -149,37 +143,37 @@ class TestSignOnlyKernel:
 
 class TestSampler:
     def test_grid_mass_coverage(self, psi6):
-        qs = simulate.position_grid(psi6)
-        dens = simulate.marginal_density(psi6, 0.0, 1.0, qs)
+        qs = span_grid(psi6, 4001)
+        dens = phasespace.marginal_density(psi6, 0.0, 1.0, qs)
         assert np.trapezoid(dens, qs) >= 1.0 - 1e-8
 
 
 class TestMarginalDensity:
     def test_normalized(self, psi6):
-        qs = simulate.position_grid(psi6, 20001)
+        qs = span_grid(psi6, 20001)
         for frac in (0.0, 1.0 / 3.0, 2.0 / 3.0):
-            dens = simulate.marginal_density(psi6, frac, 1.0, qs)
+            dens = phasespace.marginal_density(psi6, frac, 1.0, qs)
             assert abs(np.trapezoid(dens, qs) - 1.0) < 1e-6
 
     def test_stationary_state_time_independent(self):
         slc = protocol.truncated_slice(models.harmonic(), 6, check=False)
         ground = protocol.QuantumState(slc, np.eye(7)[0].astype(complex))
         qs = np.linspace(-6, 6, 2001)
-        d0 = simulate.marginal_density(ground, 0.0, 1.0, qs)
-        d1 = simulate.marginal_density(ground, 2.0 / 3.0, 1.0, qs)
+        d0 = phasespace.marginal_density(ground, 0.0, 1.0, qs)
+        d1 = phasespace.marginal_density(ground, 2.0 / 3.0, 1.0, qs)
         assert np.max(np.abs(d0 - d1)) < 1e-14
 
     def test_psi6_three_time_symmetry(self, psi6):
         qs = np.linspace(-8, 8, 2001)
-        d0 = simulate.marginal_density(psi6, 0.0, 1.0, qs)
-        d1 = simulate.marginal_density(psi6, 1.0 / 3.0, 1.0, qs)
-        d2 = simulate.marginal_density(psi6, 2.0 / 3.0, 1.0, qs)
+        d0 = phasespace.marginal_density(psi6, 0.0, 1.0, qs)
+        d1 = phasespace.marginal_density(psi6, 1.0 / 3.0, 1.0, qs)
+        d2 = phasespace.marginal_density(psi6, 2.0 / 3.0, 1.0, qs)
         assert np.max(np.abs(d0 - d1)) < 1e-12
         assert np.max(np.abs(d0 - d2)) < 1e-12
 
     def test_rejects_other_fractions(self, psi6):
         with pytest.raises(DomainError):
-            simulate.marginal_density(psi6, 0.5, 1.0, np.linspace(-1, 1, 11))
+            phasespace.marginal_density(psi6, 0.5, 1.0, np.linspace(-1, 1, 11))
 
 
 class TestDeterministicCrossCheck:

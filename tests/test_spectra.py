@@ -16,7 +16,8 @@ import scipy.special as sps
 
 from dyncert import models, protocol, spectra
 from dyncert.classical import EnergyWindow, energy_window
-from dyncert.errors import DomainError, EmptySliceError
+from dyncert.errors import (DomainError, EmptySliceError,
+                            NumericalInstabilityError)
 from conftest import full_sgn, sgn_overlap_oracle
 
 
@@ -249,6 +250,46 @@ class TestSgn:
 
     def test_builtin_check_passes(self):
         spectra.sgn_matrix(models.morse(8.0), np.arange(6), check=True)
+
+    def test_builtin_check_fails_on_nan_reference(self, monkeypatch):
+        monkeypatch.setattr(spectra, "sgn_quadrature",
+                            lambda model, n, m: float("nan"))
+        with pytest.raises(NumericalInstabilityError):
+            spectra.sgn_matrix(models.harmonic(), np.arange(4), check=True)
+
+
+class TestPositionSpan:
+    @pytest.mark.parametrize("mdl,ns", [
+        (models.harmonic(), [0, 1, 50, 300]),
+        (models.kerr(-0.02), [0, 7, 24]),
+        (models.pendulum(-0.02), [0, 5]),
+        (models.morse(5.0), [0, 2, 4]),
+        (models.morse(20.0), [0, 10, 19]),
+        # top levels whose left tails decay like exp(0.2 x) or slower
+        (models.morse(0.6), [0]),
+        (models.morse(1.7), [0, 1]),
+        (models.morse(2.6), [0, 1, 2]),
+        (models.infinite_well(), [1, 2, 9]),
+    ])
+    def test_holds_each_level_up_to_n(self, mdl, ns):
+        top = max(ns)
+        lo, hi = spectra.position_span(mdl, top)
+        assert lo < 0.0 < hi
+        qs = np.linspace(lo, hi, 100001)
+        for n in ns:
+            psi = spectra.eigenfunction_grid(mdl, n, qs)
+            assert np.trapezoid(psi * psi, qs) >= 1.0 - 1e-8
+
+    def test_slow_morse_tail_passes_the_quadrature_check(self):
+        # the check integrates over the span: a short left reach loses
+        # ~2e-6 of the ground state of morse(0.6), beyond SGN_CHECK_TOL
+        slc = protocol.truncated_slice(models.morse(0.6), 0, check=True)
+        assert slc.indices == (0,)
+
+    def test_kerr_uses_the_harmonic_rule_by_index(self):
+        assert (spectra.position_span(models.kerr(0.3), 12)
+                == spectra.position_span(models.harmonic(), 12)
+                == (-10.0, 10.0))
 
 
 class TestSpectrumSlice:
