@@ -5,7 +5,7 @@ Times are in units of 2*pi/omega0 and energies in hbar*omega0 throughout.
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt, acos, acosh, ceil, inf, isinf
+from math import pi, sqrt, acos, acosh, ceil, inf, isfinite, isinf
 
 import numpy as np
 
@@ -180,38 +180,22 @@ def energy_window(model, tau):
 # ---------------------------------------------------------------------------
 #
 # Phase-space conventions (position q, reduced momentum p):
-#   harmonic/Kerr : q, p in sqrt(hbar/m omega0) units, eps = (q^2+p^2)/2 (+Kerr term)
+#   harmonic/Kerr : q + ip = sqrt(2 H0) e^(2 pi i theta) in sqrt(hbar/m omega0)
+#                   units, theta in turns, eps = H0 (+ alpha H0^2/2 Kerr term)
 #   pendulum      : q = phi in (-pi, pi], p = l/hbar, eps = 4|a|p^2 - cos(q)/(8|a|)
 #   Morse         : q = c x, p scaled so eps = p^2/(2 lambda) + (lambda/2)(1-e^q)^2
 #   well          : q in L units in [-1/2, 1/2], p = velocity dq/dt, eps = (p/2)^2
-# Each pair is canonical up to a constant rescaling of p, so uniform sampling
-# in (q, p) is uniform in canonical phase-space area. Every model's flow is
-# closed form; in the raw time s = 2*pi*t (a prime is d/ds):
+# Each pair is canonical up to a constant rescaling of p, and dq dp =
+# 2 pi dH0 dtheta, so uniform sampling in (q, p) or (H0, theta) is uniform
+# in canonical phase-space area. Every model's flow is closed form; in the
+# raw time s = 2*pi*t (a prime is d/ds):
+#   harmonic/Kerr : theta turns at omega = 1 + alpha H0 (harmonic: alpha = 0)
 #   pendulum : q'' = -sin q with q' = 8|a|p; sin(q/2) = k sn(u0 + s | m) for
 #              m = k^2 = sin^2(q0/2) + (q0'/2)^2 < 1, expanded by the
 #              addition theorem so sn, cn, dn are taken at (s | m) alone
 #   Morse    : y = e^-q obeys the linear y'' = (r - 1) y + 1 with
 #              r = E/De = (p/lambda)^2 + (1 - e^q)^2, so y = y0 C + y0' S + D
 #              on bound (r < 1), threshold (r = 1) and open (r > 1) orbits
-
-
-def hamiltonian_value(model, q, p):
-    """Dimensionless energy eps(q, p) under the conventions above."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    kind = model.kind
-    if kind == models.HARMONIC:
-        return 0.5 * (q * q + p * p)
-    if kind == models.KERR:
-        h0 = 0.5 * (q * q + p * p)
-        return h0 + 0.5 * model.alpha * h0 * h0
-    if kind == models.PENDULUM:
-        a = abs(model.alpha)
-        return 4.0 * a * p * p - np.cos(q) / (8.0 * a)
-    if kind == models.MORSE:
-        lam = model.lambda_morse
-        return p * p / (2.0 * lam) + 0.5 * lam * (1.0 - np.exp(q)) ** 2
-    return 0.25 * p * p  # well: p is dq/dt, eps = (p/2)^2
 
 
 def _pendulum_flow(model, q0, p0, times):
@@ -249,30 +233,31 @@ def _morse_flow(model, q0, p0, times):
         yield -np.log(y0 * c + dy0 * sc + d)
 
 
+def _rotation_flow(model, h0, theta, times):
+    """Yield, at t = 0 and at each of ``times``, a signed distance d for
+    harmonic or Kerr states of action h0 and angle theta: with
+    y = frac(theta - omega t), q(t) = r cos(2 pi y) for r = sqrt(2 h0), and
+    d = 2 pi r (|y - 1/2| - 1/4) has its sign and equals it to first order
+    where it vanishes, so the score reads d as it reads q."""
+    scale = 2.0 * pi * np.sqrt(2.0 * h0)
+    omega = 1.0 + model.alpha * h0 if model.alpha else 1.0  # harmonic: None
+    for t in (0.0, *times):
+        y = theta - omega * t
+        y -= np.floor(y)
+        yield scale * (np.abs(y - 0.5) - 0.25)
+
+
 def _flow(model, q0, p0, times):
-    """Yield the positions q of a batch of initial states at each of
-    ``times`` in turn; the score reads only sgn(q), so p is not evolved.
-
-    Every flow is exact and evaluated at each time from the initial states:
-    harmonic/Kerr precess, the well reflects off its walls (L = 1), and the
-    pendulum and Morse follow the closed forms above. Pendulum states at or
-    past the separatrix raise ``LibrationError``.
-    """
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    kind = model.kind
-
-    if kind in (models.HARMONIC, models.KERR):
-        h0 = 0.5 * (q0 * q0 + p0 * p0)
-        omega = 1.0 if kind == models.HARMONIC else 1.0 + model.alpha * h0
-        for t in times:
-            phase = 2.0 * pi * omega * t
-            yield q0 * np.cos(phase) + p0 * np.sin(phase)
-        return
-
-    if kind == models.WELL:
-        if not np.all((q0 >= -0.5) & (q0 <= 0.5)):
-            raise DomainError("well position outside [-1/2, 1/2]")
+    """Yield the positions q of float arrays of well, pendulum or Morse
+    initial states at t = 0 and at each of ``times``, exactly: the well
+    reflects off its walls (L = 1), the pendulum and Morse follow the closed
+    forms above, and pendulum states at or past the separatrix raise
+    ``LibrationError``. The score reads only sgn(q), so p is not evolved."""
+    well = model.kind == models.WELL
+    if well and not np.all((q0 >= -0.5) & (q0 <= 0.5)):
+        raise DomainError("well position outside [-1/2, 1/2]")
+    yield q0
+    if well:
         for t in times:
             # fold onto [-1/2, 3/2) then reflect the upper half; the floor
             # form rounds once, as np.mod(x, 2.0) does, and is much faster
@@ -281,7 +266,7 @@ def _flow(model, q0, p0, times):
             yield np.where(y <= 1.0, y - 0.5, 1.5 - y)
         return
 
-    yield from (_pendulum_flow if kind == models.PENDULUM
+    yield from (_pendulum_flow if model.kind == models.PENDULUM
                 else _morse_flow)(model, q0, p0, times)
 
 
@@ -290,68 +275,66 @@ def _flow(model, q0, p0, times):
 # ---------------------------------------------------------------------------
 
 ENERGY_CAP = 50.0  # finite sampling cap when the window is unbounded above
+DIRECT_BATCH = 1 << 13  # caps batch_size for direct draws: arrays stay in cache
 
 
-def _sampling_box(model, window):
-    """Bounding (q, p) box whose interior covers the windowed region."""
-    kind = model.kind
-    e_hi = window.e_max
-    if kind == models.MORSE:
-        de = models.morse_dissociation_energy(model)
-        e_hi = min(e_hi, 2.0 * de)
-    if isinf(e_hi):
-        e_hi = ENERGY_CAP
+def _direct_sampler(model, window, rng, times):
+    """draw(n): the positions, at t = 0 and at each of ``times``, of n
+    states drawn uniformly in phase-space area inside the window."""
+    e_lo, e_hi = model.energy_range()
+    e_lo = min(max(window.e_min, e_lo), e_hi)
+    e_hi = max(min(ENERGY_CAP if isinf(window.e_max) else window.e_max, e_hi), e_lo)
+    if model.kind == models.WELL:
+        lo, hi = 2.0 * sqrt(e_lo), 2.0 * sqrt(e_hi)
 
-    if kind in (models.HARMONIC, models.KERR):
-        if kind == models.KERR and model.alpha != 0.0:
-            h0 = 2.0 * e_hi / (1.0 + sqrt(max(1.0 + 2.0 * model.alpha * e_hi, 0.0)))
-        else:
-            h0 = e_hi
-        r = sqrt(2.0 * h0)
-        return (-r, r), (-r, r), e_hi
-    if kind == models.PENDULUM:
+        def draw(n):
+            q = rng.uniform(-0.5, 0.5, n)
+            w = rng.uniform(-1.0, 1.0, n)  # sgn v and |v| from one draw
+            return _flow(model, q, np.copysign(lo, w) + (hi - lo) * w, times)
+    else:
+        alpha = model.alpha or 0.0  # harmonic: None
+        # the edges' actions; the Kerr alpha < 0 energy range caps them at 1/|alpha|
+        lo, hi = (2.0 * e / (1.0 + sqrt(max(1.0 + 2.0 * alpha * e, 0.0)))
+                  for e in (e_lo, e_hi))
+
+        def draw(n):
+            return _rotation_flow(model, rng.uniform(lo, hi, n), rng.random(n),
+                                  times)
+    if not lo < hi:
+        raise EmptyWindowError(f"no phase-space area in {window} below the cap")
+    return draw
+
+
+def _rejection_sampler(model, window, rng, times):
+    """``_direct_sampler``'s draw(n) for the pendulum and Morse: oversample a
+    (q, p) box covering the window, reject, and top up from the stream."""
+    if model.kind == models.PENDULUM:
         a = abs(model.alpha)
+        e_hi = ENERGY_CAP if isinf(window.e_max) else window.e_max
+        q_lo, q_hi = -pi, pi
         p_max = sqrt(max(e_hi + 1.0 / (8.0 * a), 0.0) / (4.0 * a))
-        return (-pi, pi), (-p_max, p_max), e_hi
-    if kind == models.MORSE:
-        lam = model.lambda_morse
+
+        def energy(q, p):
+            return 4.0 * a * p * p - np.cos(q) / (8.0 * a)
+    else:
+        lam, de = model.lambda_morse, models.morse_dissociation_energy(model)
+        e_hi = min(window.e_max, 2.0 * de)
         # q_hi solves V = e_hi on the steep side; open side capped at q = -10
-        q_hi = np.log(1.0 + sqrt(min(e_hi / de, 4.0)))
+        q_lo, q_hi = -10.0, np.log(1.0 + sqrt(min(e_hi / de, 4.0)))
         p_max = sqrt(2.0 * lam * e_hi)
-        return (-10.0, q_hi), (-p_max, p_max), e_hi
-    # well
-    v_max = 2.0 * sqrt(e_hi)
-    return (-0.5, 0.5), (-v_max, v_max), e_hi
 
+        def energy(q, p):
+            return p * p / (2.0 * lam) + 0.5 * lam * (1.0 - np.exp(q)) ** 2
 
-def classical_score_oracle(model, window, tau, n_samples, seed,
-                           batch_size=100_000):
-    """Maximum P3 over uniformly sampled classical states in the window.
-
-    Sampling is uniform in canonical phase-space area via rejection inside
-    a bounding box; P3 is evaluated exactly from the trajectories at the
-    three probing times. Deterministic given *seed* (Philox streams).
-    """
-    if n_samples <= 0:
-        raise DomainError("n_samples must be positive")
-    (q_lo, q_hi), (p_lo, p_hi), e_cap = _sampling_box(model, window)
-    kerr_h0_cap = (1.0 / abs(model.alpha)
-                   if model.kind == models.KERR and model.alpha < 0 else None)
-    times = [tau / 3.0, 2.0 * tau / 3.0]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-
-    def in_window(n):
-        """n in-window states: oversample, reject, top up from the stream."""
+    def draw(n):
         qs, ps, have, drawn, size = [], [], 0, 0, 2 * n
         while have < n:
             q = rng.uniform(q_lo, q_hi, size=size)
-            p = rng.uniform(p_lo, p_hi, size=size)
-            e = hamiltonian_value(model, q, p)
-            keep = (e >= window.e_min) & (e <= min(window.e_max, e_cap))
-            if kerr_h0_cap is not None:
-                keep &= 0.5 * (q * q + p * p) <= kerr_h0_cap
+            p = rng.uniform(-p_max, p_max, size=size)
+            e = energy(q, p)
+            keep = (e >= window.e_min) & (e <= e_hi)
             if not keep.any() and size == 2 * n:
-                raise EmptyWindowError("rejection sampler found no states in the window")
+                raise EmptyWindowError(f"no phase-space area found in {window}")
             qs.append(q[keep])
             ps.append(p[keep])
             have, drawn = have + len(qs[-1]), drawn + size
@@ -359,7 +342,30 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
             size = min(2 * n, 2 * ceil((n - have) * drawn / have))
         if len(qs) > 1:  # a single draw is returned uncopied
             qs, ps = [np.concatenate(qs)], [np.concatenate(ps)]
-        return qs[0][:n], ps[0][:n]
+        return _flow(model, qs[0][:n], ps[0][:n], times)
+    return draw
+
+
+def classical_score_oracle(model, window, tau, n_samples, seed,
+                           batch_size=100_000):
+    """Maximum P3 over classical states drawn uniformly in phase-space area
+    inside the window, its top capped at 2 De for Morse and at ``ENERGY_CAP``
+    if unbounded: directly in action and angle for harmonic and Kerr and in
+    position and speed for the well, by rejection from a (q, p) box for the
+    pendulum and Morse. A state scores the mean of pos(q) at t = 0, tau/3 and
+    2 tau/3 on its exact trajectory. Deterministic given *seed*, a Philox key.
+    """
+    for name, value, lo in (("n_samples", n_samples, 1), ("seed", seed, 0),
+                            ("batch_size", batch_size, 1)):
+        if not (isinstance(value, (int, np.integer)) and lo <= value < 1 << 64):
+            raise DomainError(f"{name} {value!r} is not an integer in [{lo}, 2**64)")
+    if not isfinite(tau):
+        raise DomainError(f"probing ratio {tau} is not finite")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rejection = model.kind in (models.PENDULUM, models.MORSE)
+    draw = (_rejection_sampler if rejection else _direct_sampler)(
+        model, window, rng, [tau / 3.0, 2.0 * tau / 3.0])
+    step = batch_size if rejection else min(batch_size, DIRECT_BATCH)
 
     def halves(q):  # 2 pos(q) as int8
         if not np.isfinite(q).all():
@@ -367,13 +373,7 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
         return (q > POS_BOUNDARY_TOL).view(np.int8) + (q >= -POS_BOUNDARY_TOL)
 
     best = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        n = min(batch_size, remaining)
-        q, p = in_window(n)
-        score = halves(q)
-        for q_t in _flow(model, q, p, times):
-            score += halves(q_t)
+    for start in range(0, n_samples, step):
+        score = sum(map(halves, draw(min(step, n_samples - start))))
         best = max(best, int(np.max(score)) / 6.0)
-        remaining -= n
     return best

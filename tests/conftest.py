@@ -2,9 +2,10 @@
 quadratures, a fine-step trajectory integrator, the position CDF of a
 state on a grid, and per-round reference reductions: Monte Carlo rounds
 sampled to a position by inverse CDF, and oracle positions, both scored
-by pos()."""
+by pos(). The classical oracle's direct samplers are checked against a
+(q, p) box rejection and the float (q, p) rotation."""
 
-from math import inf, pi, sqrt
+from math import inf, isinf, pi, sqrt
 
 import numpy as np
 import pytest
@@ -265,26 +266,104 @@ def run_protocol_reference(monkeypatch, samplers, state, tau, n_rounds, seed):
         return simulate.run_protocol(state, tau, n_rounds, seed)
 
 
-def oracle_with_reference(monkeypatch, model, window, tau, n_samples, seed,
-                          batch_size=100_000):
-    """The oracle's value and the float-pos reduction of the very states it
-    flows: max over samples of [pos(q0) + pos(q(tau/3)) + pos(q(2tau/3))]/3."""
-    batches = []
-    flow = classical._flow
+# ---------------------------------------------------------------------------
+# classical oracle references
+# ---------------------------------------------------------------------------
 
-    def recording_flow(model, q0, p0, times):
-        out = list(flow(model, q0, p0, times))
-        batches.append([np.array(q0, dtype=float)] + out)
-        return iter(out)
+def rotation_reference(model, q0, p0, times):
+    """Harmonic or Kerr positions q at t = 0 and at each of ``times`` by the
+    float (q, p) rotation at omega = 1 + alpha H0."""
+    h0 = 0.5 * (q0 * q0 + p0 * p0)
+    omega = 1.0 if model.kind == models.HARMONIC else 1.0 + model.alpha * h0
+    yield q0
+    for t in times:
+        phase = 2.0 * pi * omega * t
+        yield q0 * np.cos(phase) + p0 * np.sin(phase)
+
+
+def rejection_states_reference(model, window, n, seed):
+    """Energies and positions of n harmonic, Kerr or well states drawn
+    uniformly from a bounding (q, p) box and kept when their energy lies in
+    the window, capped at ENERGY_CAP when unbounded (and Kerr alpha < 0
+    actions at 1/|alpha|)."""
+    e_hi = classical.ENERGY_CAP if isinf(window.e_max) else window.e_max
+    alpha = model.alpha or 0.0
+    if model.kind == models.WELL:
+        q_max, p_max = 0.5, 2.0 * sqrt(e_hi)
+    else:
+        h_max = 2.0 * e_hi / (1.0 + sqrt(max(1.0 + 2.0 * alpha * e_hi, 0.0)))
+        q_max = p_max = sqrt(2.0 * h_max)
+    rng = np.random.default_rng(seed)
+    energies, positions = [], []
+    while sum(map(len, positions)) < n:
+        q = rng.uniform(-q_max, q_max, n)
+        p = rng.uniform(-p_max, p_max, n)
+        h0 = 0.5 * (q * q + p * p)
+        e = (0.25 * p * p if model.kind == models.WELL
+             else h0 + 0.5 * alpha * h0 * h0)
+        keep = (e >= window.e_min) & (e <= e_hi)
+        if alpha < 0.0:
+            keep &= h0 <= 1.0 / abs(alpha)
+        energies.append(e[keep])
+        positions.append(q[keep])
+    return np.concatenate(energies)[:n], np.concatenate(positions)[:n]
+
+
+def recorded_oracle(monkeypatch, model, window, tau, n_samples, seed,
+                    batch_size=100_000):
+    """The oracle's value and, per batch, the flow it called, the states it
+    drew (action and angle, or position and momentum) and the positions it
+    read at t = 0, tau/3 and 2 tau/3."""
+    batches = []
+
+    def recording(name, flow):
+        def recorded(model, a, b, times):
+            out = list(flow(model, a, b, times))
+            batches.append((name, np.array(a, dtype=float),
+                            np.array(b, dtype=float), out))
+            return iter(out)
+        return recorded
 
     with monkeypatch.context() as mp:
-        mp.setattr(classical, "_flow", recording_flow)
+        for name in ("_rotation_flow", "_flow"):
+            mp.setattr(classical, name, recording(name, getattr(classical, name)))
         value = classical.classical_score_oracle(model, window, tau, n_samples,
                                                  seed, batch_size=batch_size)
-    ref = 0.0
-    for qs in batches:
-        score = pos(qs[0])
-        for q in qs[1:]:
-            score = score + pos(q)
-        ref = max(ref, float(np.max(score)) / 3.0)
-    return value, ref
+    return value, batches
+
+
+def oracle_states(monkeypatch, model, window, tau, n_samples, seed):
+    """Energies and initial positions of the states the oracle drew."""
+    _, batches = recorded_oracle(monkeypatch, model, window, tau, n_samples,
+                                 seed)
+    energies, positions = [], []
+    for name, a, b, _ in batches:
+        if name == "_rotation_flow":
+            energies.append(a + 0.5 * (model.alpha or 0.0) * a * a)
+            positions.append(np.sqrt(2.0 * a) * np.cos(2.0 * pi * b))
+        else:
+            energies.append(0.25 * b * b)  # the well: b is the velocity
+            positions.append(a)
+    return np.concatenate(energies), np.concatenate(positions)
+
+
+def oracle_with_reference(monkeypatch, model, window, tau, n_samples, seed,
+                          batch_size=100_000):
+    """The oracle's value and, per sample, the float-pos reduction
+    [pos(q(0)) + pos(q(tau/3)) + pos(q(2tau/3))]/3 of the positions the
+    oracle read and of reference positions of the same states. For harmonic
+    and Kerr the reference maps each (H0, theta) back to (q0, p0) and moves
+    it by ``rotation_reference``; other models are their own reference."""
+    value, batches = recorded_oracle(monkeypatch, model, window, tau,
+                                     n_samples, seed, batch_size)
+    times = [tau / 3.0, 2.0 * tau / 3.0]
+    scores, ref_scores = [], []
+    for name, a, b, positions in batches:
+        ref = positions
+        if name == "_rotation_flow":
+            r = np.sqrt(2.0 * a)
+            ref = rotation_reference(model, r * np.cos(2.0 * pi * b),
+                                     r * np.sin(2.0 * pi * b), times)
+        scores.append(sum(pos(q) for q in positions) / 3.0)
+        ref_scores.append(sum(pos(q) for q in ref) / 3.0)
+    return value, np.concatenate(scores), np.concatenate(ref_scores)

@@ -1,17 +1,19 @@
 """Trapping times, energy windows, trajectories, and the sampling oracle."""
 
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from scipy.stats import ks_2samp
 
 from dyncert import classical, models
 from dyncert.classical import (EnergyWindow, classical_score_oracle,
                                energy_window, pos, trapping_times)
 from dyncert.errors import (DomainError, EmptyWindowError, LibrationError,
                             NumericalInstabilityError, UnsupportedTauError)
-from conftest import (oracle_with_reference, trapping_times_quadrature,
+from conftest import (oracle_states, oracle_with_reference,
+                      rejection_states_reference, trapping_times_quadrature,
                       yoshida_trajectory)
 
 
@@ -25,7 +27,7 @@ def morse_bound_position(model, e, t):
 
 def position(model, q0, p0, t):
     """q after time t (units 2*pi/omega0): a one-sample ``_flow`` call."""
-    (q,), = classical._flow(model, q0, p0, [t])
+    _, (q,) = classical._flow(model, np.array([q0]), np.array([p0]), [t])
     return float(q)
 
 
@@ -155,10 +157,27 @@ class TestEnergyWindow:
 
 class TestTrajectories:
     def test_harmonic_rotation(self):
-        q = position(models.harmonic(), 1.0, 0.0, 0.25)
-        assert abs(q) < 1e-12              # quarter period
-        q = position(models.harmonic(), 1.0, 0.0, 0.5)
-        assert abs(q + 1.0) < 1e-12        # half period
+        # q0 = r > 0 at theta = 0; q = 0 after a quarter period, -r after half
+        h0 = np.array([0.5, 8.0])
+        d = list(classical._rotation_flow(models.harmonic(), h0,
+                                          np.zeros(2), [0.25, 0.5]))
+        r = np.sqrt(2.0 * h0)
+        assert np.array_equal(d[0], 0.5 * pi * r)
+        assert np.array_equal(d[1], np.zeros(2))
+        assert np.array_equal(d[2], -0.5 * pi * r)
+
+    @pytest.mark.parametrize("mdl", [models.harmonic(), models.kerr(0.02)],
+                             ids=["harmonic", "kerr"])
+    def test_rotation_distance_is_q_near_zero(self, mdl):
+        # eps turns past a zero crossing, d = q (1 + (2 pi eps)^2/6 + ...)
+        eps = np.array([1e-2, -1e-3, 1e-4])
+        h0, t = 3.0, 0.4
+        omega = 1.0 + (mdl.alpha or 0.0) * h0
+        for crossing in (0.25, 0.75):
+            theta = crossing + eps + omega * t
+            _, d = classical._rotation_flow(mdl, np.full(3, h0), theta, [t])
+            q = sqrt(2.0 * h0) * np.cos(2.0 * pi * (crossing + eps))
+            assert np.all(np.abs(d / q - 1.0) <= 7.0 * eps * eps)
 
     def test_well_reflection(self):
         mdl = models.infinite_well()
@@ -181,8 +200,9 @@ class TestTrajectories:
         p0 = np.concatenate([[-0.0, 0.0, 1e12, -1e12],
                              rng.uniform(-50.0, 50.0, 996)])
         times = [0.3, 1.0, 7.25]
-        for t, q in zip(times, classical._flow(models.infinite_well(),
-                                               q0, p0, times)):
+        start, *qs = classical._flow(models.infinite_well(), q0, p0, times)
+        assert start.tobytes() == q0.tobytes()
+        for t, q in zip(times, qs):
             y = np.mod(q0 + p0 * t + 0.5, 2.0)
             assert q.tobytes() == np.where(y <= 1.0, y - 0.5, 1.5 - y).tobytes()
 
@@ -231,7 +251,7 @@ class TestExactFlows:
     def test_pendulum_matches_fine_reference(self, t):
         mdl = models.pendulum(-0.05)
         q0, p0 = _pendulum_states(mdl.alpha)
-        q, = classical._flow(mdl, q0, p0, [t])
+        _, q = classical._flow(mdl, q0, p0, [t])
         q_ref, _ = yoshida_trajectory(mdl, q0, p0, t)
         assert np.all(np.abs(np.angle(np.exp(1j * (q - q_ref)))) <= 1e-11)
 
@@ -240,7 +260,7 @@ class TestExactFlows:
         mdl = models.morse(MORSE_LAMBDA)
         r = (MORSE_P0 / MORSE_LAMBDA) ** 2 + (1.0 - np.exp(MORSE_Q0)) ** 2
         assert np.any(r < 1.0) and np.any(r == 1.0) and np.any(r > 1.0)
-        q, = classical._flow(mdl, MORSE_Q0, MORSE_P0, [t])
+        _, q = classical._flow(mdl, MORSE_Q0, MORSE_P0, [t])
         q_ref, _ = yoshida_trajectory(mdl, MORSE_Q0, MORSE_P0, t)
         assert np.all(np.abs(q - q_ref) <= 1e-11)
 
@@ -263,7 +283,9 @@ class TestClassicalOracle:
         (models.infinite_well(), 0.4),
     ])
     def test_every_batch_evaluates_its_full_count(self, mdl, tau, monkeypatch):
-        # rejection keeps under half of a 2n draw here, so batches top up
+        # pendulum rejection keeps under half of a 2n draw here, so its
+        # batches top up; the well draws each batch directly (batch_size is
+        # below DIRECT_BATCH, which would cap the well's batches)
         flowed = []
         flow = classical._flow
 
@@ -272,9 +294,9 @@ class TestClassicalOracle:
             return flow(model, q0, p0, times)
 
         monkeypatch.setattr(classical, "_flow", counting_flow)
-        classical_score_oracle(mdl, energy_window(mdl, tau), tau, 25_000,
-                               seed=0, batch_size=10_000)
-        assert flowed == [10_000, 10_000, 5_000]
+        classical_score_oracle(mdl, energy_window(mdl, tau), tau, 12_500,
+                               seed=0, batch_size=5_000)
+        assert flowed == [5_000, 5_000, 2_500]
 
     @pytest.mark.parametrize("mdl,window,tau,n", [
         (models.harmonic(), EnergyWindow(0.0, 50.0), 1.0, 50_000),
@@ -286,50 +308,104 @@ class TestClassicalOracle:
         (models.infinite_well(), energy_window(models.infinite_well(), 0.4),
          0.4, 50_000),
         (models.infinite_well(), EnergyWindow(0.5, 30.0), 0.4, 50_000),
+        (models.kerr(0.02), energy_window(models.kerr(0.02), 1.0), 1.0, 50_000),
+        (models.kerr(0.01), energy_window(models.kerr(0.01), 1.2), 1.2, 50_000),
     ])
     def test_half_counts_match_float_pos(self, mdl, window, tau, n,
                                          monkeypatch):
-        value, ref = oracle_with_reference(monkeypatch, mdl, window, tau, n,
-                                           seed=3, batch_size=n // 2 - 1)
-        assert value == ref
+        # per sample: the kernel's positions score as the reference's do
+        value, scores, ref_scores = oracle_with_reference(
+            monkeypatch, mdl, window, tau, n, seed=3, batch_size=n // 2 - 1)
+        assert len(scores) == n
+        assert np.array_equal(scores, ref_scores)
+        assert value == scores.max()
 
     @pytest.mark.parametrize("c1,c2", [
         (-1.0, -1.0), (-1e-12, 1e-12), (0.0, -2e-12), (2e-12, -0.0),
         (1e-12, 1.0), (-1e-12, -1.0)])
     def test_boundary_positions_match_float_pos(self, c1, c2, monkeypatch):
         def fixed_flow(model, q0, p0, times):
+            yield q0
             yield np.full_like(q0, c1)
             yield np.full_like(q0, c2)
 
         monkeypatch.setattr(classical, "_flow", fixed_flow)
-        mdl = models.harmonic()
-        value, ref = oracle_with_reference(monkeypatch, mdl,
-                                           energy_window(mdl, 1.0), 1.0,
-                                           1000, seed=0)
-        assert value == ref == (1.0 + pos(c1) + pos(c2)) / 3.0
+        mdl = models.infinite_well()
+        value, scores, _ = oracle_with_reference(
+            monkeypatch, mdl, energy_window(mdl, 0.4), 0.4, 1000, seed=0)
+        assert value == scores.max() == (1.0 + pos(c1) + pos(c2)) / 3.0
 
     def test_non_finite_position_raises(self, monkeypatch):
-        flow = classical._flow
+        flow = classical._rotation_flow
 
-        def nan_flow(model, q0, p0, times):
-            for q in flow(model, q0, p0, times):
-                q = q.copy()
-                q[-1] = np.nan
-                yield q
+        def nan_flow(model, h0, theta, times):
+            for d in flow(model, h0, theta, times):
+                d = d.copy()
+                d[-1] = np.nan
+                yield d
 
-        monkeypatch.setattr(classical, "_flow", nan_flow)
+        monkeypatch.setattr(classical, "_rotation_flow", nan_flow)
         with pytest.raises(NumericalInstabilityError):
             classical_score_oracle(models.harmonic(),
                                    energy_window(models.harmonic(), 1.0),
                                    1.0, 1000, seed=0)
 
     def test_window_with_no_area_raises(self):
-        with pytest.raises(EmptyWindowError):
+        with pytest.raises(EmptyWindowError, match="no phase-space area"):
             classical_score_oracle(models.harmonic(), EnergyWindow(1.0, 1.0),
                                    1.0, 100, seed=0)
+
+    @pytest.mark.parametrize("mdl,window", [
+        (models.infinite_well(), EnergyWindow(2.0, 2.0)),
+        (models.harmonic(), EnergyWindow(60.0, inf)),
+        (models.kerr(-0.02), EnergyWindow(30.0, 40.0)),
+        (models.kerr(-0.02), EnergyWindow(26.0, inf)),
+        (models.pendulum(-0.05), EnergyWindow(1.0, 1.0)),
+    ], ids=["well-zero-area", "harmonic-above-cap", "kerr-above-range",
+            "kerr-above-range-unbounded", "pendulum-zero-area"])
+    def test_empty_windows_raise(self, mdl, window):
+        with pytest.raises(EmptyWindowError, match="no phase-space area"):
+            classical_score_oracle(mdl, window, 1.0, 100, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"batch_size": 0}, {"batch_size": -5}, {"batch_size": 2.0},
+        {"n_samples": 1000.5}, {"n_samples": 0},
+        {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5},
+        {"tau": float("nan")}, {"tau": inf},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_invalid_arguments_raise_before_any_draw(self, kwargs, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the oracle drew states")
+
+        monkeypatch.setattr(classical, "_direct_sampler", no_draw)
+        args = {"tau": 1.0, "n_samples": 1000, "seed": 0} | kwargs
+        with pytest.raises(DomainError):
+            classical_score_oracle(models.harmonic(), EnergyWindow(0.0, 5.0),
+                                   **args)
 
     def test_violation_outside_window(self):
         # tau = 3 makes every harmonic trajectory return to its sign
         w = EnergyWindow(0.1, 5.0)
         p = classical_score_oracle(models.harmonic(), w, 3.0, 20000, seed=2)
         assert p == 1.0
+
+
+class TestDirectSampling:
+    """The direct samplers draw the distribution of the (q, p) box
+    rejection: energies and initial sgn q agree by a two-sample KS test."""
+
+    @pytest.mark.parametrize("mdl,tau", [
+        (models.harmonic(), 1.0),
+        (models.kerr(0.02), 1.0),
+        (models.kerr(-0.02), 1.0),
+        (models.infinite_well(), 0.1),
+        (models.infinite_well(), 0.4),
+    ], ids=["harmonic", "kerr+0.02", "kerr-0.02", "well-0.1", "well-0.4"])
+    def test_matches_box_rejection(self, mdl, tau, monkeypatch):
+        n = 100_000
+        window = energy_window(mdl, tau)
+        e, q = oracle_states(monkeypatch, mdl, window, tau, n, seed=5)
+        e_ref, q_ref = rejection_states_reference(mdl, window, n, seed=6)
+        assert len(e) == len(e_ref) == n
+        assert ks_2samp(e, e_ref).pvalue > 1e-3
+        assert ks_2samp(np.sign(q), np.sign(q_ref)).pvalue > 1e-3
