@@ -11,7 +11,8 @@ import numpy as np
 
 from . import models
 from .errors import (DomainError, EmptyWindowError, LibrationError,
-                     NumericalInstabilityError, UnsupportedTauError)
+                     NumericalInstabilityError, UnsupportedTauError,
+                     check_integer)
 from .numerics import elliptic_K, elliptic_K_inverse, jacobi_sn_cn_dn
 from .numerics import quad_inverse_sqrt  # noqa: F401  perfbench traces it here
 
@@ -355,10 +356,9 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
     pendulum and Morse. A state scores the mean of pos(q) at t = 0, tau/3 and
     2 tau/3 on its exact trajectory. Deterministic given *seed*, a Philox key.
     """
-    for name, value, lo in (("n_samples", n_samples, 1), ("seed", seed, 0),
-                            ("batch_size", batch_size, 1)):
-        if not (isinstance(value, (int, np.integer)) and lo <= value < 1 << 64):
-            raise DomainError(f"{name} {value!r} is not an integer in [{lo}, 2**64)")
+    check_integer("n_samples", n_samples, 1)
+    check_integer("seed", seed, 0)
+    check_integer("batch_size", batch_size, 1)
     if not isfinite(tau):
         raise DomainError(f"probing ratio {tau} is not finite")
     rng = np.random.Generator(np.random.Philox(key=seed))

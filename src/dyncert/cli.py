@@ -225,13 +225,12 @@ def cmd_score(args):
         return 0
     if args.scan:
         grid = _tau_grid(args)
-        policy = args.window_policy
         window = None
-        if policy == "fixed" and args.nmax is None:
+        if args.window_policy == "fixed" and args.nmax is None:
             base_tau = args.tau if args.tau is not None else float(grid[0])
             window = energy_window(model, base_tau)
-        points = protocol.scan_tau(model, grid, window_policy=policy,
-                                   window=window, n_hat=args.nmax)
+        points = protocol.scan_tau(model, grid, window=window,
+                                   n_hat=args.nmax)
         if all(p.error for p in points):
             raise DyncertError(f"all {len(points)} scan points failed; "
                                f"first: {points[0].error}")

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and one argument check."""
+
+from numbers import Integral
 
 
 class DyncertError(Exception):
@@ -39,3 +41,11 @@ class UnsupportedTauError(DomainError):
 
 class NumericalInstabilityError(DyncertError, RuntimeError):
     """Closed form and independent quadrature disagree beyond tolerance."""
+
+
+def check_integer(name, value, lo):
+    """Raise DomainError unless *value* is an integer (Python or numpy) in
+    [lo, 2**64); a float is refused, not truncated."""
+    if not (isinstance(value, Integral) and lo <= value < 1 << 64):
+        raise DomainError(
+            f"{name} {value!r} is not an integer in [{lo}, 2**64)")

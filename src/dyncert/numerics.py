@@ -331,20 +331,13 @@ def quad_inverse_sqrt(f, a, b, rel_tol=1e-10, panel_budget=20000):
 # largest eigenpair of a Hermitian operator
 # ---------------------------------------------------------------------------
 
-# Dense solves up to this dimension (parity-even Q3 by the SVD of a
-# half-size block), Lanczos above it. One BLAS thread, tau in {0.8, 1, 1.2}:
-# Lanczos overtakes that SVD from dim ~230 on harmonic truncations and not
-# below 300 on Kerr and the well, whose clustered tops need more vectors.
-DENSE_EIG_LIMIT = 200
-
-
 class HermitianOperator:
     """Matrix-free Hermitian operator: a dimension plus a matvec.
 
-    ``matvec`` accepts an (n,) vector or an (n, k) block of columns.
-    ``norm_bound`` is any upper bound on the spectral norm; it sets the
-    residual target of :func:`hermitian_max_eigenpair`. No sign or
-    ordering of the spectrum is assumed.
+    ``matvec`` maps an (n,) vector to an (n,) vector. ``norm_bound`` is
+    any upper bound on the spectral norm; it sets the residual target of
+    :func:`hermitian_max_eigenpair`. No sign or ordering of the spectrum
+    is assumed.
     """
 
     def __init__(self, dim, matvec, norm_bound):
@@ -353,21 +346,9 @@ class HermitianOperator:
         self.norm_bound = float(norm_bound)
 
 
-def hermitian_max_eigenpair(op):
-    """Largest eigenvalue and unit eigenvector of a HermitianOperator.
-
-    Up to DENSE_EIG_LIMIT the operator is materialised by one matvec of
-    the identity block and diagonalised with ``eigh``; above it the pair
-    comes from :func:`_lanczos`.
-    """
-    if op.dim <= DENSE_EIG_LIMIT:
-        w, v = np.linalg.eigh(op.matvec(np.eye(op.dim, dtype=complex)))
-        return float(w[-1]), v[:, -1]
-    return _lanczos(op)
-
-
-def _lanczos(m, max_krylov=300):
-    """Top eigenpair by Lanczos from a fixed-seed random start vector.
+def hermitian_max_eigenpair(op, max_krylov=300):
+    """Largest eigenvalue and unit eigenvector of a HermitianOperator, by
+    Lanczos from a fixed-seed random start vector.
 
     Each new Krylov vector is orthogonalised twice against the whole
     basis, so the residual estimate |beta_k y_k| of the top Ritz pair can
@@ -379,16 +360,16 @@ def _lanczos(m, max_krylov=300):
     short raises :class:`ConvergenceError` with the residual reached.
     """
     rng = np.random.default_rng(0)
-    q = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+    q = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     q /= np.linalg.norm(q)
-    tol = 1e-10 * m.norm_bound
-    size = min(m.dim, max_krylov)
-    basis = np.empty((size, m.dim), dtype=complex)
+    tol = 1e-10 * op.norm_bound
+    size = min(op.dim, max_krylov)
+    basis = np.empty((size, op.dim), dtype=complex)
     t = np.zeros((size, size))  # the tridiagonal projection
     next_check = 0
     for k in range(size):
         basis[k] = q
-        w = m.matvec(q)
+        w = op.matvec(q)
         t[k, k] = np.vdot(q, w).real
         span = basis[:k + 1]
         for _ in range(2):
@@ -401,7 +382,7 @@ def _lanczos(m, max_krylov=300):
             if beta * abs(y[-1, -1]) <= tol or last:
                 v = y[:, -1] @ span
                 v /= np.linalg.norm(v)
-                mv = m.matvec(v)
+                mv = op.matvec(v)
                 lam = float(np.vdot(v, mv).real)
                 res = float(np.linalg.norm(mv - lam * v))
                 if res <= tol:

@@ -16,8 +16,7 @@ import numpy as np
 from . import models, spectra
 from .classical import TAU_HI, TAU_LO, EnergyWindow, energy_window
 from .errors import DomainError, DyncertError, NumericalInstabilityError
-from .numerics import (DENSE_EIG_LIMIT, HermitianOperator,
-                       hermitian_max_eigenpair)
+from .numerics import HermitianOperator, hermitian_max_eigenpair
 
 THETA4 = 0.215 * pi
 
@@ -80,41 +79,49 @@ def build_q3(slc, tau):
 
     theta_ij = 2 pi (E_i - E_j)/3, so the phase factorizes into diagonal
     unitaries: Q3 = I/2 + (1/6) sum_k D_k S D_k^dagger (k = 0, 1, 2), a
-    HermitianOperator whose matvec takes an (n,) vector or an (n, m)
-    block. The three rotated copies D_k^dagger v sit side by side as
-    columns, so S acts on all of them in one ``slc.sgn_matmul``.
+    HermitianOperator on (n,) vectors. The three rotated copies
+    D_k^dagger v sit side by side as columns, so S acts on all of them in
+    one ``slc.sgn_matmul``.
     """
-    if slc.dim == 0:
-        raise DomainError("empty slice")
     rot = _phase_vectors(slc.energies, tau).T
     unrot = rot.conj()
 
     def matvec(v):
-        r, u = (rot, unrot) if v.ndim == 1 else (rot[..., None],
-                                                 unrot[..., None])
-        block = u * v[:, None]
-        sv = slc.sgn_matmul(block.reshape(len(v), -1))
-        return 0.5 * v + np.sum(r * sv.reshape(block.shape), axis=1) / 6.0
+        return 0.5 * v + np.sum(rot * slc.sgn_matmul(unrot * v[:, None]),
+                                axis=1) / 6.0
 
     return HermitianOperator(slc.dim, matvec, norm_bound=1.0)
 
 
 def max_score(slc, tau, window=None):
     """Largest eigenvalue of Q3 with its eigenvector (largest-modulus
-    amplitude real and positive), as a ScoreResult. In a parity-even model
-    Q3 - I/2 couples even to odd levels only, by C = (1/6) sum_k D_k^e B
-    (D_k^o)^dagger with B the sgn block, so up to DENSE_EIG_LIMIT levels
-    the pair is 1/2 + sigma_max(C) and (u + v)/sqrt(2) from C's SVD."""
-    if (slc.model.is_even_potential and min(slc.sgn.shape) > 0
-            and slc.dim <= DENSE_EIG_LIMIT):
-        even, odd = spectra.parity_positions(slc.indices)
-        d = _phase_vectors(slc.energies, tau)
-        u, sigma, vh = np.linalg.svd(
-            slc.sgn[:] * (d[:, even].T @ d[:, odd].conj()) / 6.0)
-        value, vector = 0.5 + sigma[0], np.empty(slc.dim, dtype=complex)
-        vector[even], vector[odd] = u[:, 0], vh[0].conj()
-    else:
+    amplitude real and positive), as a ScoreResult.
+
+    Up to spectra.DENSE_EIG_LIMIT levels the pair comes from the dense
+    block S o K of Q3 - I/2 that the slice holds, with K = (1/6) sum_k
+    d_k d_k^dagger: Morse takes ``eigh`` of the full block. In a
+    parity-even model Q3 - I/2 couples even to odd levels only, by the
+    block C = S o K[even, odd], so the pair is 1/2 + sigma_max(C) and
+    (u + v)/sqrt(2) from C's SVD, and a slice of one parity scores 1/2.
+    Larger slices go to Lanczos on :func:`build_q3`.
+    """
+    if slc.dim == 0:
+        raise DomainError("empty slice")
+    if slc.dim > spectra.DENSE_EIG_LIMIT:
         value, vector = hermitian_max_eigenpair(build_q3(slc, tau))
+    else:
+        rows, cols = spectra.sgn_positions(slc.model, slc.indices)
+        d = _phase_vectors(slc.energies, tau)
+        block = slc.sgn[:] * (d[:, rows].T @ d[:, cols].conj()) / 6.0
+        if not slc.model.is_even_potential:
+            w, v = np.linalg.eigh(block)
+            value, vector = 0.5 + w[-1], v[:, -1]
+        elif block.size:
+            u, sigma, vh = np.linalg.svd(block)
+            value, vector = 0.5 + sigma[0], np.empty(slc.dim, dtype=complex)
+            vector[rows], vector[cols] = u[:, 0], vh[0].conj()
+        else:  # one parity: Q3 = I/2
+            value, vector = 0.5, np.ones(slc.dim)
     vector = vector / np.linalg.norm(vector)
     top = vector[np.argmax(np.abs(vector))]
     state = QuantumState(slc, vector * (abs(top) / top))
@@ -122,9 +129,9 @@ def max_score(slc, tau, window=None):
 
 
 def score_state(state, tau):
-    """P3 = <psi|Q3(tau)|psi>, real in [0, 1]."""
-    v = state.amplitudes
-    return _in_unit_range(np.vdot(v, build_q3(state.slice, tau).matvec(v)).real)
+    """P3 = <psi|Q3(tau)|psi>, real in [0, 1]: the mean of the three
+    :func:`round_probabilities`."""
+    return sum(round_probabilities(state, tau)) / 3.0
 
 
 def round_probabilities(state, tau):
@@ -192,25 +199,20 @@ class ScanPoint:
     error: str = None
 
 
-def scan_tau(model, tau_grid, window_policy="from_tau", window=None,
-             check=False, n_hat=None):
+def scan_tau(model, tau_grid, window=None, check=False, n_hat=None):
     """Maximum quantum score across a grid of probing ratios.
 
-    ``window_policy='from_tau'`` recomputes the model's energy window at
-    each grid point; ``'fixed'`` reuses the supplied window (and hence a
-    single slice). With ``n_hat`` every point scores the fixed truncation
-    of the n_hat+1 lowest levels instead, and no window applies. Per-point
-    failures are recorded on the returned points instead of aborting the
-    scan.
+    Each grid point scores the levels in the model's energy window at its
+    own tau, unless a ``window`` is given: then every point reuses it (and
+    hence a single slice). With ``n_hat`` every point scores the fixed
+    truncation of the n_hat+1 lowest levels instead, and no window applies.
+    Per-point failures are recorded on the returned points instead of
+    aborting the scan.
     """
-    if window_policy not in ("from_tau", "fixed"):
-        raise DomainError(f"unknown window policy {window_policy!r}")
     fixed = None
     if n_hat is not None:
         fixed = None, truncated_slice(model, n_hat, check=check)
-    elif window_policy == "fixed":
-        if window is None:
-            raise DomainError("fixed window policy requires a window")
+    elif window is not None:
         fixed = window, spectra.spectrum_slice(model, window, check=check)
     points = []
     slice_cache = {}
@@ -245,7 +247,7 @@ def scan_to_csv(points):
 def truncated_slice(model, n_hat, check=True):
     """SpectrumSlice for the fixed truncation of the n_hat+1 lowest levels
     (levels 1..n_hat for the well, whose ground state is n = 1)."""
-    ns = np.arange(1 if model.kind == models.WELL else 0, n_hat + 1)
+    ns = np.arange(spectra.level_range(model)[0], n_hat + 1)
     es = spectra.level_energies(model, ns)
     s = spectra.sgn_matrix(model, ns, energies=es, check=check)
     return spectra.SpectrumSlice(model, tuple(int(n) for n in ns), es, s)

@@ -13,7 +13,7 @@ from math import sqrt
 import numpy as np
 
 from . import protocol
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 CHUNK_ROUNDS = 1 << 16
 
@@ -51,14 +51,13 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
     Rounds are processed in fixed-size chunks, each driven by a Philox
     stream keyed by (seed, chunk index), and the chunk counts are exact
     integers, so the result is bit-for-bit reproducible regardless of the
-    worker count or scheduling.
+    worker count or scheduling. ``n_rounds``, ``seed`` (the Philox key) and
+    ``workers`` must be integers; anything else raises DomainError before
+    any draw.
     """
-    if n_rounds < 1:
-        raise DomainError("n_rounds must be positive")
-    if not 0 <= seed < 1 << 64:
-        raise DomainError(f"seed {seed} outside [0, 2**64)")
-    if workers < 1:
-        raise DomainError(f"workers must be positive, got {workers}")
+    check_integer("n_rounds", n_rounds, 1)
+    check_integer("seed", seed, 0)
+    check_integer("workers", workers, 1)
     thresholds = 1.0 - np.array(protocol.round_probabilities(state, tau))
     plan = [(c, min(CHUNK_ROUNDS, n_rounds - c * CHUNK_ROUNDS))
             for c in range(-(-n_rounds // CHUNK_ROUNDS))]

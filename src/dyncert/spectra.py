@@ -20,9 +20,16 @@ import numpy as np
 
 from . import models
 from .errors import (DomainError, EmptySliceError, NumericalInstabilityError)
-from .numerics import DENSE_EIG_LIMIT, laguerre, mathieu_eigensystem
+from .numerics import laguerre, mathieu_eigensystem
 
 SGN_CHECK_TOL = 1e-6
+# Slices of up to this many levels are held and solved dense (parity-even
+# Q3 by the SVD of a half-size block), larger ones by Lanczos, on a
+# ToeplitzBlock for harmonic and Kerr. One BLAS thread, tau in {0.8, 1,
+# 1.2}: Lanczos overtakes that SVD from dim ~230 on harmonic truncations
+# and not below 300 on Kerr and the well, whose clustered tops need more
+# vectors.
+DENSE_EIG_LIMIT = 200
 SCHEMA_VERSION = "dyncert.spectrum-slice.v2"
 
 
@@ -60,7 +67,7 @@ _MATHIEU_LOCK = threading.Lock()
 _SEPARATRIX_MARGIN = 4
 
 
-def _pendulum_solutions(model, n_levels=1):
+def _pendulum_solutions(model, n_levels):
     """Mathieu solutions of pendulum levels 0, 1, ..., at least n_levels.
 
     The first solve for an alpha covers every level below the separatrix
@@ -126,48 +133,45 @@ def _kerr_top_level(alpha):
     return int(floor(1.0 / abs(alpha) - 0.5))
 
 
+def level_range(model):
+    """(first, last): the model's lowest level index and its highest level
+    that has an energy, with last None when the spectrum is unbounded."""
+    if model.kind == models.WELL:
+        return 1, None
+    if model.kind == models.MORSE:
+        return 0, morse_level_count(model.lambda_morse) - 1
+    if model.kind == models.KERR and model.alpha < 0:
+        return 0, _kerr_top_level(model.alpha)
+    return 0, None
+
+
 def levels(model, window):
     """Level indices and energies falling inside the window.
 
-    The well applies the window with strict inequalities (boundary levels
-    have classical periods exactly at the edge of the admissible range and
-    are excluded); all other models include the endpoints.
+    Energies increase with the index, so a run of levels from the first one
+    doubles until its top energy passes e_max or it holds the last level;
+    an unbounded spectrum needs a finite e_max. The well applies the window
+    with strict inequalities (boundary levels have classical periods exactly
+    at the edge of the admissible range and are excluded); all other models
+    include the endpoints.
     """
-    kind = model.kind
     e_min, e_max = window.e_min, window.e_max
+    first, last = level_range(model)
+    if last is None and isinf(e_max):
+        raise DomainError(
+            f"the {model.describe()} spectrum is unbounded: pass a window "
+            "with finite e_max (or a truncation-derived window)")
+    count = 1
+    while True:
+        ns = np.arange(first, first + count)
+        if last is not None:
+            ns = ns[ns <= last]
+        es = level_energies(model, ns)
+        if es[-1] > e_max or ns[-1] == last:
+            break
+        count *= 2
 
-    if kind in (models.HARMONIC, models.KERR):
-        alpha = 0.0 if kind == models.HARMONIC else model.alpha
-        if alpha == 0.0:
-            if isinf(e_max):
-                raise DomainError(
-                    "the harmonic spectrum is unbounded: pass a window with "
-                    "finite e_max (or a truncation-derived window)")
-            n_hi = int(floor(e_max - 0.5 + 1e-12))
-        elif alpha > 0.0:
-            disc = 1.0 + 2.0 * alpha * (e_max - 0.375 * alpha)
-            nu_hi = (sqrt(max(disc, 0.0)) - 1.0) / alpha
-            n_hi = int(floor(nu_hi - 0.5 + 1e-12))
-        else:
-            n_hi = _kerr_top_level(alpha)
-        ns = np.arange(0, max(n_hi, -1) + 1)
-    elif kind == models.PENDULUM:
-        # energies increase with n: hold levels until one lies above e_max
-        n_held = len(_pendulum_solutions(model))
-        while pendulum_energy(model, n_held - 1) <= e_max:
-            if n_held > 10000:
-                raise DomainError("pendulum window admits too many levels")
-            n_held = len(_pendulum_solutions(model, 2 * n_held))
-        ns = np.arange(n_held)
-    elif kind == models.MORSE:
-        ns = np.arange(morse_level_count(model.lambda_morse))
-    else:  # infinite well
-        if isinf(e_max):
-            raise DomainError("well window must be bounded above")
-        ns = np.arange(1, int(ceil(2.0 * sqrt(e_max))) + 1)
-
-    es = level_energies(model, ns)
-    if kind == models.WELL:  # strict truncation
+    if model.kind == models.WELL:  # strict truncation
         keep = (es > e_min) & (es < e_max)
     else:
         keep = (es >= e_min) & (es <= e_max)
@@ -390,9 +394,13 @@ def sgn_quadrature(model, n, m, n_points=40001):
 _CHECK_INDEX_CAP = 300  # quadrature oracle is reliable below this index
 
 
-def parity_positions(indices):
-    """Positions of the even and of the odd levels among ``indices``."""
+def sgn_positions(model, indices):
+    """Positions among ``indices`` of the rows and of the columns of the sgn
+    block a slice holds: the even and the odd levels in a parity-even
+    model, every level for Morse."""
     indices = np.asarray(indices, dtype=int)
+    if not model.is_even_potential:
+        return (np.arange(len(indices)),) * 2
     return np.flatnonzero(indices % 2 == 0), np.flatnonzero(indices % 2 == 1)
 
 
@@ -401,17 +409,17 @@ def sgn_matrix(model, indices, energies=None, check=True):
 
     In a parity-even model only levels of opposite index parity couple, so
     this is the (even x odd) block alone: a ToeplitzBlock for harmonic and
-    Kerr slices of more than DENSE_EIG_LIMIT levels, else a dense array.
-    For Morse it is the full real symmetric matrix.
+    Kerr slices of more than DENSE_EIG_LIMIT levels, else a dense array
+    (empty when every level has one parity). For Morse it is the full real
+    symmetric matrix.
 
     With ``check`` enabled, a handful of entries are re-derived by direct
     quadrature of sgn(q) psi_n psi_n'; disagreement beyond 1e-6 raises
     NumericalInstabilityError rather than being silently accepted.
     """
     indices = np.asarray(indices, dtype=int)
-    rows, cols = parity_positions(indices)
+    rows, cols = sgn_positions(model, indices)
     if not model.is_even_potential:
-        rows = cols = np.arange(len(indices))
         s = _morse_sgn(model.lambda_morse, indices)
     elif not (len(rows) and len(cols)):
         s = np.zeros((len(rows), len(cols)))
@@ -463,9 +471,8 @@ class SpectrumSlice:
             raise DomainError("indices and energies must align")
         if np.any(np.diff(e) <= 0):
             raise DomainError("energies must be strictly increasing")
-        s, even, odd = self.sgn, *parity_positions(self.indices)
-        if s.shape != ((len(even), len(odd)) if self.model.is_even_potential
-                       else (self.dim, self.dim)):
+        s, rows, cols = self.sgn, *sgn_positions(self.model, self.indices)
+        if s.shape != (len(rows), len(cols)):
             raise DomainError("sgn matrix shape mismatch")
         # a parity-even block is symmetric with a zero diagonal by layout;
         # s - s.T is antisymmetric, so its max is its largest magnitude,
@@ -487,7 +494,7 @@ class SpectrumSlice:
         x = np.ascontiguousarray(x, dtype=complex).view(float)
         if not self.model.is_even_potential:
             return (self.sgn @ x).view(complex)
-        even, odd = parity_positions(self.indices)
+        even, odd = sgn_positions(self.model, self.indices)
         y = np.empty_like(x)
         y[even] = self.sgn @ x[odd]
         y[odd] = self.sgn.T @ x[even]

@@ -42,7 +42,7 @@ def expand_sgn(model, indices, s):
     """The dense sgn(Q) matrix from the form a slice holds it in."""
     if not model.is_even_potential:
         return np.asarray(s)
-    even, odd = spectra.parity_positions(indices)
+    even, odd = spectra.sgn_positions(model, indices)
     full = np.zeros((len(indices), len(indices)))
     full[np.ix_(even, odd)] = s[:]
     full[np.ix_(odd, even)] = s[:].T

@@ -272,12 +272,11 @@ class TestCacheAndConfig:
         # generator; the cached one must score to the same bytes
         from dyncert import cli, models, protocol, spectra
         from dyncert.classical import EnergyWindow
-        from dyncert.numerics import DENSE_EIG_LIMIT
         mdl, window = models.harmonic(), EnergyWindow(0.0, 300.5)
         texts = []
         for _ in range(2):
             slc = cli.cached_slice(mdl, window, str(tmp_path))
-            assert slc.dim > DENSE_EIG_LIMIT
+            assert slc.dim > spectra.DENSE_EIG_LIMIT
             assert isinstance(slc.sgn, spectra.ToeplitzBlock)
             texts.append(json.dumps(
                 protocol.max_score(slc, 1.0, window=window).to_json_dict()))

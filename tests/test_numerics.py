@@ -8,10 +8,10 @@ import pytest
 import scipy.special as sps
 
 from dyncert.errors import ConvergenceError, DomainError
-from dyncert.numerics import (DENSE_EIG_LIMIT, HermitianOperator, _lanczos,
-                              elliptic_K, elliptic_K_inverse,
-                              hermitian_max_eigenpair, jacobi_sn_cn_dn, laguerre,
-                              mathieu_eigensystem, quad_inverse_sqrt)
+from dyncert.numerics import (HermitianOperator, elliptic_K,
+                              elliptic_K_inverse, hermitian_max_eigenpair,
+                              jacobi_sn_cn_dn, laguerre, mathieu_eigensystem,
+                              quad_inverse_sqrt)
 
 
 class TestEllipticK:
@@ -172,26 +172,16 @@ class TestHermitianEig:
         ref = np.linalg.eigvalsh(h)[-1]
         assert abs(val - ref) < 1e-7 * ref
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 150])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 150, 222])
     def test_lanczos_matches_eigvalsh(self, dim):
         h = _random_hermitian(dim, seed=dim)
         norm = np.linalg.norm(h, 2)
         ref = np.linalg.eigvalsh(h)[-1]
         op = HermitianOperator(dim, lambda v: h @ v, norm_bound=norm)
-        val, vec = _lanczos(op)
+        val, vec = hermitian_max_eigenpair(op)
         assert abs(val - ref) < 1e-12 * norm
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
         assert np.linalg.norm(h @ vec - val * vec) <= 1e-10 * norm
-
-    def test_matrix_above_limit_takes_lanczos(self):
-        dim = DENSE_EIG_LIMIT + 22
-        h = _random_hermitian(dim, seed=5)
-        op = HermitianOperator(dim, lambda v: h @ v,
-                               norm_bound=np.linalg.norm(h, "fro"))
-        val, vec = hermitian_max_eigenpair(op)
-        lz_val, lz_vec = _lanczos(op)
-        assert val == lz_val and np.array_equal(vec, lz_vec)
-        assert abs(val - np.linalg.eigvalsh(h)[-1]) < 1e-12 * abs(val)
 
     def test_top_below_a_larger_negative_eigenvalue(self):
         # power iteration would lock onto -5; Lanczos needs no PSD shift
@@ -199,7 +189,7 @@ class TestHermitianEig:
         eigs = np.linspace(-5.0, 1.0, 40)
         h = (q * eigs) @ q.conj().T
         op = HermitianOperator(40, lambda v: h @ v, norm_bound=5.0)
-        val, _ = _lanczos(op)
+        val, _ = hermitian_max_eigenpair(op)
         assert abs(val - 1.0) < 1e-12
 
     def test_invariant_subspace_breakdown(self):
@@ -209,12 +199,12 @@ class TestHermitianEig:
         eigs = np.repeat([-1.0, 0.25, 2.0], [20, 20, 10])
         h = (q * eigs) @ q.conj().T
         calls = []
-        val, vec = _lanczos(HermitianOperator(
+        val, vec = hermitian_max_eigenpair(HermitianOperator(
             50, lambda v: calls.append(1) or h @ v, norm_bound=2.0))
         assert len(calls) == 4  # three Krylov vectors plus the check
         assert abs(val - 2.0) < 1e-12
         assert np.linalg.norm(h @ vec - val * vec) <= 2e-10
-        val, _ = _lanczos(HermitianOperator(
+        val, _ = hermitian_max_eigenpair(HermitianOperator(
             5, lambda v: 3.0 * v, norm_bound=3.0))
         assert val == pytest.approx(3.0, abs=1e-14)
 
@@ -223,7 +213,7 @@ class TestHermitianEig:
         op = HermitianOperator(200, lambda v: h @ v,
                                norm_bound=np.linalg.norm(h, 2))
         with pytest.raises(ConvergenceError) as info:
-            _lanczos(op, max_krylov=4)
+            hermitian_max_eigenpair(op, max_krylov=4)
         assert np.isfinite(info.value.residual)
         assert info.value.residual > 1e-10 * op.norm_bound
 

@@ -10,8 +10,7 @@ import pytest
 from dyncert import models, protocol, spectra
 from dyncert.classical import energy_window
 from dyncert.errors import DomainError, NumericalInstabilityError
-from dyncert.numerics import (DENSE_EIG_LIMIT, _lanczos,
-                              hermitian_max_eigenpair)
+from dyncert.numerics import hermitian_max_eigenpair
 from conftest import expand_sgn
 
 
@@ -47,18 +46,25 @@ def _direct_q3(slc, tau):
     return 0.5 * np.eye(slc.dim) + s / 6.0 * phases
 
 
+def _q3_columns(slc, tau):
+    """Q3 as a dense matrix, built by build_q3's matvec one column at a
+    time."""
+    op = protocol.build_q3(slc, tau)
+    return np.column_stack([op.matvec(e)
+                            for e in np.eye(slc.dim, dtype=complex)])
+
+
 class TestBuildQ3:
     def test_hermitian_and_bounded(self, harmonic_slice6):
-        q = protocol.build_q3(harmonic_slice6, 1.3).matvec(np.eye(7))
+        q = _q3_columns(harmonic_slice6, 1.3)
         assert np.max(np.abs(q - q.conj().T)) < 1e-14
         eigs = np.linalg.eigvalsh(q)
         assert eigs[0] >= -1e-12 and eigs[-1] <= 1.0 + 1e-12
 
     def test_matches_direct_formula(self):
-        # the (n, n) identity block gives every column of Q3 at once
         for mdl, n_hat in FIVE_MODELS:
             slc = protocol.truncated_slice(mdl, n_hat, check=False)
-            q = protocol.build_q3(slc, 0.9).matvec(np.eye(slc.dim))
+            q = _q3_columns(slc, 0.9)
             assert np.max(np.abs(q - _direct_q3(slc, 0.9))) < 1e-14
 
 
@@ -69,7 +75,8 @@ class TestMaxScore:
 
     def test_matrix_free_matches_dense(self, harmonic_slice6):
         dense = protocol.max_score(harmonic_slice6, 1.0).p3_max
-        val, _ = _lanczos(protocol.build_q3(harmonic_slice6, 1.0))
+        val, _ = hermitian_max_eigenpair(
+            protocol.build_q3(harmonic_slice6, 1.0))
         assert abs(val - dense) < 1e-9
 
     @pytest.mark.parametrize("mdl,n_hat", FIVE_MODELS)
@@ -86,7 +93,7 @@ class TestMaxScore:
         # at tau = 3/4 and 3/2 the harmonic top eigenvalue 2/3 is ~93-fold
         # degenerate at n_hat = 200; Lanczos still stops early on it
         slc = protocol.truncated_slice(models.harmonic(), 200, check=False)
-        assert slc.dim > DENSE_EIG_LIMIT
+        assert slc.dim > spectra.DENSE_EIG_LIMIT
         for tau in (0.75, 1.5):
             op = protocol.build_q3(slc, tau)
             calls = []
@@ -98,9 +105,11 @@ class TestMaxScore:
             assert abs(protocol.max_score(slc, tau).p3_max - 2.0 / 3.0) < 1e-9
 
     @pytest.mark.parametrize("mdl,n_hat", [
-        (m, n) for m, n in FIVE_MODELS if m.is_even_potential])
+        (m, n) for m, n in FIVE_MODELS if m.is_even_potential]
+        + [(models.morse(8.0), 6)])
     def test_bipartite_score_matches_full_eigvalsh(self, mdl, n_hat):
-        # 1/2 + sigma_max of the half-size block is the top of the full Q3
+        # 1/2 + sigma_max of the half-size block is the top of the full Q3;
+        # Morse, with no parity, takes eigh of its full dense block
         slc = protocol.truncated_slice(mdl, n_hat, check=False)
         for tau in (0.75, 0.9, 1.0, 1.3, 1.5):
             r = protocol.max_score(slc, tau)
@@ -133,6 +142,16 @@ class TestMaxScore:
             ref_probs = protocol.round_probabilities(
                 protocol.QuantumState(dense, v / np.linalg.norm(v)), tau)
             assert np.allclose(probs, ref_probs, rtol=0.0, atol=1e-12)
+
+    def test_one_parity_slice_scores_half(self):
+        # the well's tau = 1.2 window holds only n = 2, where Q3 = I/2
+        mdl = models.infinite_well()
+        win = energy_window(mdl, 1.2)
+        slc = spectra.spectrum_slice(mdl, win)
+        assert slc.indices == (2,)
+        r = protocol.max_score(slc, 1.2, window=win)
+        assert r.p3_max == 0.5
+        assert np.array_equal(r.state.amplitudes, [1.0])
 
     def test_score_state_consistent(self, harmonic_slice6):
         r = protocol.max_score(harmonic_slice6, 1.0)
@@ -197,8 +216,7 @@ class TestScan:
     def test_fixed_window_policy(self):
         mdl = models.kerr(0.02)
         w = energy_window(mdl, 1.0)
-        pts = protocol.scan_tau(mdl, [0.9, 1.0, 1.1],
-                                window_policy="fixed", window=w)
+        pts = protocol.scan_tau(mdl, [0.9, 1.0, 1.1], window=w)
         assert all(p.error is None for p in pts)
         assert abs(pts[1].p3_max - 0.6969) < 1e-3
 

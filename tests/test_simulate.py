@@ -62,6 +62,19 @@ class TestRunProtocol:
         with pytest.raises(DomainError):
             simulate.run_protocol(psi6, 1.0, 1000, seed=seed)
 
+    @pytest.mark.parametrize("name,value", [
+        ("seed", 7.9), ("seed", 1.5), ("n_rounds", 1000.5), ("workers", 2.0)])
+    def test_rejects_non_integer_arguments(self, psi6, monkeypatch, name,
+                                           value):
+        # a float seed would key the Philox stream of its integer part
+        def no_draw(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(simulate, "_chunk_count", no_draw)
+        args = {"n_rounds": 1000, "seed": 7, "workers": 1, name: value}
+        with pytest.raises(DomainError, match="is not an integer"):
+            simulate.run_protocol(psi6, 1.0, **args)
+
     def test_accepts_largest_seed(self, psi6):
         est = simulate.run_protocol(psi6, 1.0, 1000, seed=2**64 - 1)
         assert est.seed == 2**64 - 1

@@ -75,6 +75,32 @@ class TestEnergies:
         ns, _ = spectra.levels(models.infinite_well(), w)
         assert list(ns) == [2]
 
+    @pytest.mark.parametrize("mdl", [
+        models.harmonic(), models.kerr(0.02), models.pendulum(-0.05),
+        models.infinite_well()], ids=lambda m: m.describe())
+    def test_unbounded_spectrum_needs_finite_e_max(self, mdl):
+        with pytest.raises(DomainError, match="unbounded"):
+            spectra.levels(mdl, EnergyWindow(0.0, float("inf")))
+
+    @pytest.mark.parametrize("mdl,e_min,e_max", [
+        (models.harmonic(), 2.5, 40.5), (models.kerr(0.02), 0.0, 9.0),
+        (models.kerr(-0.02), 3.0, float("inf")),
+        (models.pendulum(-0.02), -6.25, 2.0), (models.morse(8.0), 1.0, 4.0),
+        (models.infinite_well(), 0.25, 16.0)],
+        ids=lambda v: v.describe() if isinstance(v, models.ModelSystem) else None)
+    def test_levels_match_filtered_range(self, mdl, e_min, e_max):
+        # every level from level_range that the window holds, and no other;
+        # the well's edges 0.25 and 16.0 are levels 1 and 8, kept out
+        first, last = spectra.level_range(mdl)
+        ns = np.arange(first, 50 if last is None else last + 1)
+        es = spectra.level_energies(mdl, ns)
+        strict = mdl.kind == models.WELL
+        keep = ((es > e_min) & (es < e_max) if strict
+                else (es >= e_min) & (es <= e_max))
+        got_ns, got_es = spectra.levels(mdl, EnergyWindow(e_min, e_max))
+        assert np.array_equal(got_ns, ns[keep])
+        assert np.array_equal(got_es, es[keep])
+
     def test_empty_slice(self):
         with pytest.raises(EmptySliceError):
             spectra.levels(models.infinite_well(), EnergyWindow(0.26, 0.27))
