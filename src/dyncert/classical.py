@@ -118,10 +118,10 @@ def trapping_times(model, e):
 TAU_LO, TAU_HI = 0.75, 1.5
 
 
-def _check_tau_range(tau, lo=TAU_LO, hi=TAU_HI):
-    if not lo <= tau <= hi:
+def _check_tau_range(tau):
+    if not TAU_LO <= tau <= TAU_HI:
         raise UnsupportedTauError(
-            f"probing ratio {tau} outside admissible range [{lo}, {hi}]")
+            f"probing ratio {tau} outside admissible range [{TAU_LO}, {TAU_HI}]")
 
 
 def energy_window(model, tau):

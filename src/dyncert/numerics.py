@@ -32,7 +32,10 @@ def elliptic_K(m):
     return pi / (2.0 * a)
 
 
-def elliptic_K_inverse(k, tol=1e-13):
+ELLIPTIC_K_INVERSE_TOL = 1e-13  # bisection stops at this relative bracket width
+
+
+def elliptic_K_inverse(k):
     """Solve K(m) = k for m in [0, 1) by bracketed bisection.
 
     K is strictly increasing on [0, 1) with minimum K(0) = pi/2, so any
@@ -54,7 +57,7 @@ def elliptic_K_inverse(k, tol=1e-13):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, lo):
+        if hi - lo <= ELLIPTIC_K_INVERSE_TOL * max(1.0, lo):
             break
     return 0.5 * (lo + hi)
 

@@ -19,6 +19,8 @@ from . import models, spectra
 from .errors import DomainError
 
 NORMALIZATION_TOL = 1e-3
+WIGNER_Y_POINTS = 2001  # quadrature nodes of the Cartesian Wigner integral
+FOURIER_SAMPLES = 2048  # angle samples for a pendulum state's Fourier modes
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,11 @@ class WignerGrid:
 def wavefunction(state, pts, k_tau=0.0):
     """psi(q, t) = sum_n c_n e^{-i E_n t} psi_n(q) at the probing time
     t = k tau T/3, given as ``k_tau`` = k tau, at arbitrary points ``pts``
-    of any shape (zero outside a box)."""
+    of any shape (zero outside a box), from one eigenfunction table."""
     phases = np.exp(-1j * np.asarray(state.slice.energies)
                     * k_tau * 2.0 * pi / 3.0)
-    model = state.slice.model
-    flat = np.asarray(pts, dtype=float).ravel()
-    table = np.array([spectra.eigenfunction_grid(model, int(n), flat)
-                      for n in state.slice.indices])
+    table = spectra.eigenfunction_grid(state.slice.model, state.slice.indices,
+                                       np.ravel(pts))
     return ((state.amplitudes * phases) @ table).reshape(np.shape(pts))
 
 
@@ -100,7 +100,7 @@ def default_axes(state, n_q=201, n_p=201):
     return q_axis, p_axis
 
 
-def wigner_cartesian(state, q_axis, p_axis, n_y=2001):
+def wigner_cartesian(state, q_axis, p_axis):
     """W(q, p) = (1/pi) int dy psi*(q+y) psi(q-y) exp(2ipy), hbar = 1."""
     model = state.slice.model
     if model.kind == models.PENDULUM:
@@ -108,23 +108,23 @@ def wigner_cartesian(state, q_axis, p_axis, n_y=2001):
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     lo, hi = _span(state)
-    ys = np.linspace(-0.5 * (hi - lo), 0.5 * (hi - lo), n_y)
+    ys = np.linspace(-0.5 * (hi - lo), 0.5 * (hi - lo), WIGNER_Y_POINTS)
     plus = wavefunction(state, q_axis[:, None] + ys[None, :])
     minus = wavefunction(state, q_axis[:, None] - ys[None, :])
     corr = np.conj(plus) * minus
-    weights = np.full(n_y, ys[1] - ys[0])
+    weights = np.full(WIGNER_Y_POINTS, ys[1] - ys[0])
     weights[0] = weights[-1] = 0.5 * (ys[1] - ys[0])
     kernel = weights[:, None] * np.exp(2j * np.outer(ys, p_axis))
     values = (corr @ kernel).real / pi
     return WignerGrid(q_axis, p_axis, values)
 
 
-def _fourier_modes(state, n_samples=2048):
+def _fourier_modes(state):
     """Integer-harmonic coefficients a_l with psi(phi) = sum a_l e^{il phi}."""
-    phis = -pi + 2.0 * pi * np.arange(n_samples) / n_samples
+    phis = -pi + 2.0 * pi * np.arange(FOURIER_SAMPLES) / FOURIER_SAMPLES
     psi = wavefunction(state, phis)
-    raw = np.fft.fft(psi) / n_samples
-    ls = np.fft.fftfreq(n_samples, d=1.0 / n_samples).astype(int)
+    raw = np.fft.fft(psi) / FOURIER_SAMPLES
+    ls = np.fft.fftfreq(FOURIER_SAMPLES, d=1.0 / FOURIER_SAMPLES).astype(int)
     coeffs = raw * np.exp(1j * ls * pi)  # undo the -pi grid offset
     keep = np.abs(coeffs) > 1e-13
     return ls[keep], coeffs[keep]
@@ -158,16 +158,20 @@ def wigner_angular(state, phi_axis, m_range):
 
 
 def _angular_kernel(ls, al, phi_axis, ms):
+    """sum over mode pairs (l1, l2) of Re(a_l1 conj(a_l2) K(l1 + l2 - 2m)
+    e^{i(l1 - l2)phi}) / 2pi, one pass per difference d = l1 - l2, with
+    K(s) = 2pi at s = 0 and 4 sin(s pi/2)/s elsewhere."""
     values = np.zeros((phi_axis.size, ms.size))
-    for i, l1 in enumerate(ls):
-        for j, l2 in enumerate(ls):
-            s = l1 + l2 - 2 * ms  # kernel K(s): 2pi at 0, 4 sin(s pi/2)/s else
-            k = np.where(s == 0, 2.0 * pi,
-                         4.0 * np.sin(np.where(s == 0, 1, s) * pi / 2.0)
-                         / np.where(s == 0, 1, s))
-            coeff = al[i] * np.conj(al[j]) * k / (2.0 * pi)
-            values += np.real(np.exp(1j * (l1 - l2) * phi_axis)[:, None]
-                              * coeff[None, :])
+    i, j = np.indices((ls.size, ls.size)).reshape(2, -1)
+    diffs = ls[i] - ls[j]
+    for d in np.unique(diffs):
+        p1, p2 = i[diffs == d], j[diffs == d]
+        s = (ls[p1] + ls[p2])[:, None] - 2 * ms
+        k = np.where(s == 0, 2.0 * pi,
+                     4.0 * np.sin(np.where(s == 0, 1, s) * pi / 2.0)
+                     / np.where(s == 0, 1, s))
+        coeff = (al[p1] * np.conj(al[p2])) @ k / (2.0 * pi)
+        values += np.real(np.exp(1j * d * phi_axis)[:, None] * coeff)
     return values
 
 

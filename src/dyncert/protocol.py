@@ -5,6 +5,7 @@ The probing duration is always given as the ratio tau = T / (2 pi / omega0).
 """
 
 import csv
+import functools
 import io
 import json
 import warnings
@@ -247,22 +248,27 @@ def scan_to_csv(points):
 def truncated_slice(model, n_hat, check=True):
     """SpectrumSlice for the fixed truncation of the n_hat+1 lowest levels
     (levels 1..n_hat for the well, whose ground state is n = 1)."""
-    ns = np.arange(spectra.level_range(model)[0], n_hat + 1)
+    first = spectra.level_range(model)[0]
+    if n_hat < first:
+        raise DomainError(f"truncation {n_hat} lies below the first "
+                          f"{model.describe()} level {first}")
+    ns = np.arange(first, n_hat + 1)
     es = spectra.level_energies(model, ns)
     s = spectra.sgn_matrix(model, ns, energies=es, check=check)
     return spectra.SpectrumSlice(model, tuple(int(n) for n in ns), es, s)
 
 
 _GOLDEN = (sqrt(5.0) - 1.0) / 2.0
+TAU_SEARCH_TOL, TAU_SEARCH_STARTS = 1e-6, 8  # resolution, sub-intervals
 
 
-def _golden_max(f, lo, hi, tol=1e-6):
-    """Golden-section maximization on [lo, hi] to tau resolution tol."""
+def _golden_max(f, lo, hi):
+    """Golden-section maximization on [lo, hi] to TAU_SEARCH_TOL."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > TAU_SEARCH_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -275,12 +281,13 @@ def _golden_max(f, lo, hi, tol=1e-6):
     return x, f(x)
 
 
-def maximize_over_tau(f, lo=TAU_LO, hi=TAU_HI, tol=1e-6, n_starts=8):
-    """Multi-start golden-section search (guards against non-concavity)."""
-    edges = np.linspace(lo, hi, n_starts + 1)
+def maximize_over_tau(f):
+    """(tau, f(tau)) maximizing f on [TAU_LO, TAU_HI]: golden-section searches
+    on TAU_SEARCH_STARTS equal sub-intervals guard against non-concavity."""
+    edges = np.linspace(TAU_LO, TAU_HI, TAU_SEARCH_STARTS + 1)
     best = (None, -np.inf)
     for a, b in zip(edges[:-1], edges[1:]):
-        x, v = _golden_max(f, float(a), float(b), tol=tol)
+        x, v = _golden_max(f, float(a), float(b))
         if v > best[1]:
             best = (x, v)
     return best
@@ -293,9 +300,7 @@ class ScenarioResult:
     tau: float
 
 
-_HARMONIC_TAU_CACHE = {}
-
-
+@functools.cache
 def harmonic_limit_tau(n_hat):
     """Optimal probing ratio of the benchmark state in the harmonic limit.
 
@@ -305,12 +310,10 @@ def harmonic_limit_tau(n_hat):
     """
     if n_hat == 6:
         return 1.0
-    if n_hat not in _HARMONIC_TAU_CACHE:
-        slc = truncated_slice(models.harmonic(), n_hat, check=False)
-        state = reference_state("psi4" if n_hat == 4 else "psi6", slc)
-        tau, _ = maximize_over_tau(lambda t: score_state(state, t))
-        _HARMONIC_TAU_CACHE[n_hat] = tau
-    return _HARMONIC_TAU_CACHE[n_hat]
+    slc = truncated_slice(models.harmonic(), n_hat, check=False)
+    state = reference_state("psi4" if n_hat == 4 else "psi6", slc)
+    tau, _ = maximize_over_tau(lambda t: score_state(state, t))
+    return tau
 
 
 def scenario_compare(model, n_hat, check=False):

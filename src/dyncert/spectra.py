@@ -23,6 +23,7 @@ from .errors import (DomainError, EmptySliceError, NumericalInstabilityError)
 from .numerics import laguerre, mathieu_eigensystem
 
 SGN_CHECK_TOL = 1e-6
+SGN_QUADRATURE_POINTS = 40001  # per half-line, in sgn_quadrature
 # Slices of up to this many levels are held and solved dense (parity-even
 # Q3 by the SVD of a half-size block), larger ones by Lanczos, on a
 # ToeplitzBlock for harmonic and Kerr. One BLAS thread, tau in {0.8, 1,
@@ -186,50 +187,48 @@ def levels(model, window):
 # eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _hermite_value(n, x):
-    """Harmonic-oscillator eigenfunction psi_n at x, by its recurrence."""
-    x = np.asarray(x, dtype=float)
-    psi_prev = np.zeros_like(x)
-    psi = pi ** (-0.25) * np.exp(-0.5 * x * x)
-    for k in range(n):
-        psi, psi_prev = (sqrt(2.0 / (k + 1)) * x * psi
-                         - sqrt(k / (k + 1.0)) * psi_prev), psi
-    return psi
-
-
-def _morse_log_norm(lam, n):
-    # sqrt(n! (2 lam - 2n - 1) / Gamma(2 lam - n)) in log space
-    return 0.5 * (lgamma(n + 1.0) + log(2.0 * lam - 2.0 * n - 1.0)
-                  - lgamma(2.0 * lam - n))
-
-
 def _morse_value(lam, n, x):
-    """psi_n(x) for the Morse model (c = 1 units)."""
-    x = np.asarray(x, dtype=float)
+    """psi_n(x) for the Morse model (c = 1 units): with z = 2 lam e^x and
+    a = 2 lam - 2n - 1, sqrt(n! a / Gamma(2 lam - n)) z^(a/2) e^(-z/2)
+    times the Laguerre polynomial L_n^(a)(z)."""
     z = 2.0 * lam * np.exp(x)
-    lag = laguerre(n, 2.0 * lam - 2.0 * n - 1.0, z)
-    expo = (_morse_log_norm(lam, n)
+    a = 2.0 * lam - 2.0 * n - 1.0
+    expo = (0.5 * (lgamma(n + 1.0) + log(a) - lgamma(2.0 * lam - n))
             + (lam - n - 0.5) * np.log(z) - 0.5 * z)
     out = np.zeros_like(z)
     ok = expo > -700.0
-    out[ok] = np.exp(expo[ok]) * np.asarray(lag)[ok]
+    out[ok] = np.exp(expo[ok]) * np.asarray(laguerre(n, a, z))[ok]
     return out
 
 
-def eigenfunction_grid(model, n, qs):
-    """Vectorized psi_n on an array of positions."""
-    qs = np.asarray(qs, dtype=float)
-    kind = model.kind
-    if kind in (models.HARMONIC, models.KERR):
-        return _hermite_value(n, qs)
-    if kind == models.PENDULUM:
-        sol = _pendulum_solutions(model, n + 1)[n]
-        return np.asarray(sol.value(0.5 * qs)) / sqrt(pi)
-    if kind == models.MORSE:
-        return _morse_value(model.lambda_morse, n, qs)
-    w = n * pi
-    vals = (np.cos(w * qs) if n % 2 == 1 else np.sin(w * qs)) * sqrt(2.0)
-    return np.where(np.abs(qs) <= 0.5, vals, 0.0)
+def eigenfunction_grid(model, ns, qs):
+    """The table of psi_n(q) for every level n in ``ns`` (any order, repeats
+    allowed) at every position in ``qs``, shaped ``ns.shape + qs.shape``:
+    a scalar n gives psi_n shaped like ``qs``."""
+    ns, qs = np.asarray(ns, dtype=int), np.asarray(qs, dtype=float)
+    out = np.empty(ns.shape + qs.shape)
+    rows, flat = out.reshape((ns.size,) + qs.shape), ns.ravel()
+    if model.kind in (models.HARMONIC, models.KERR):
+        # one upward recurrence to the top level, copying rows on the way
+        psi_prev, psi = np.zeros_like(qs), pi ** (-0.25) * np.exp(-0.5 * qs * qs)
+        for k in range(int(flat.max(initial=-1)) + 1):
+            if k:
+                psi, psi_prev = (sqrt(2.0 / k) * qs * psi
+                                 - sqrt((k - 1) / k) * psi_prev), psi
+            rows[flat == k] = psi
+    elif model.kind == models.PENDULUM:
+        sols = _pendulum_solutions(model, int(flat.max(initial=0)) + 1)
+        for i, n in enumerate(flat):
+            rows[i] = sols[n].value(0.5 * qs) / sqrt(pi)
+    elif model.kind == models.MORSE:
+        for i, n in enumerate(flat):
+            rows[i] = _morse_value(model.lambda_morse, n, qs)
+    else:
+        inside = np.abs(qs) <= 0.5
+        for i, n in enumerate(flat):
+            trig = np.cos if n % 2 == 1 else np.sin
+            rows[i] = np.where(inside, trig(n * pi * qs) * sqrt(2.0), 0.0)
+    return out
 
 
 def position_span(model, n):
@@ -342,35 +341,25 @@ def _well_block(even, odd):
     return (2.0 / pi) * (1.0 / (n + m) + 1.0 / (n - m))
 
 
-def _morse_diag(lam, ns):
-    """<n|sgn(X)|n> = 2 P[x > 0] - 1 for each level n in ``ns``, by
-    24-point Gauss-Legendre on 32 panels in t = log z over z > 2 lam."""
+def _morse_sgn(model, ns):
+    """Full Morse sgn matrix. The diagonal is 2 P[x > 0] - 1 per level, by
+    24-point Gauss-Legendre on 32 panels in t = log z over z > 2 lam; the
+    off-diagonal entries are closed forms in the values psi_n(0)."""
+    lam = model.lambda_morse
     nodes, weights = np.polynomial.legendre.leggauss(24)
     edges = np.linspace(log(2.0 * lam),
                         log(2.0 * lam + 80.0 + 20.0 * sqrt(2.0 * lam)), 33)
     half = 0.5 * np.diff(edges)[:, None]
     t = edges[:-1, None] + half * (1.0 + nodes)
-    z = np.exp(t)
-    diag = []
-    for n in ns:
-        a = 2.0 * lam - 2.0 * n - 1.0
-        lag = laguerre(n, a, z.ravel()).reshape(t.shape)
-        psi = np.exp(_morse_log_norm(lam, n) + 0.5 * (a * t - z)) * lag
-        diag.append(2.0 * np.sum(half * weights * psi * psi) - 1.0)
-    return diag
-
-
-def _morse_sgn(lam, ns):
-    """Full Morse sgn matrix; the off-diagonal entries are closed forms in
-    the values psi_n(0)."""
-    psi = np.array([_morse_value(lam, k, 0.0) for k in range(ns.max() + 1)])
+    psi_t = eigenfunction_grid(model, ns, t - log(2.0 * lam))
+    s = np.diag(2.0 * np.sum(half * weights * psi_t * psi_t, axis=(1, 2)) - 1.0)
+    psi = eigenfunction_grid(model, np.arange(ns.max() + 1), 0.0)
     k = np.arange(1, len(psi))
     # coupling(k) psi_(k-1)(0), zero for k = 0
     lower = np.zeros_like(psi)
     lower[1:] = ((lam / (lam - k))
                  * np.sqrt(k * (2.0 * lam - k) * (lam - k - 0.5)
                            / (lam - k + 0.5)) * psi[:-1])
-    s = np.diag(_morse_diag(lam, [int(n) for n in ns]))
     i, j = np.triu_indices(len(ns), 1)
     n, m = ns[i], ns[j]
     pref = 2.0 / ((n - m) * (2.0 * lam - (1.0 + n + m)))
@@ -380,14 +369,13 @@ def _morse_sgn(lam, ns):
     return s
 
 
-def sgn_quadrature(model, n, m, n_points=40001):
+def sgn_quadrature(model, n, m):
     """Direct quadrature of <n|sgn(Q)|m> as an independent cross-check."""
     lo, hi = position_span(model, max(n, m))
     plus, minus = (
-        np.trapezoid(eigenfunction_grid(model, n, xs)
-                     * eigenfunction_grid(model, m, xs), xs)
-        for xs in (np.linspace(0.0, hi, n_points),
-                   np.linspace(lo, 0.0, n_points)))
+        np.trapezoid(np.prod(eigenfunction_grid(model, [n, m], xs), axis=0), xs)
+        for xs in (np.linspace(0.0, hi, SGN_QUADRATURE_POINTS),
+                   np.linspace(lo, 0.0, SGN_QUADRATURE_POINTS)))
     return plus - minus
 
 
@@ -420,7 +408,7 @@ def sgn_matrix(model, indices, energies=None, check=True):
     indices = np.asarray(indices, dtype=int)
     rows, cols = sgn_positions(model, indices)
     if not model.is_even_potential:
-        s = _morse_sgn(model.lambda_morse, indices)
+        s = _morse_sgn(model, indices)
     elif not (len(rows) and len(cols)):
         s = np.zeros((len(rows), len(cols)))
     elif model.kind == models.PENDULUM:

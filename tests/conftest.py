@@ -68,8 +68,7 @@ def sgn_overlap_oracle(model, n, m, n_points=300001):
         qs = grid(-40.0, 5.0, max(n_points, 1000001))
     else:
         qs = grid(-15.0, 15.0, n_points)
-    a = spectra.eigenfunction_grid(model, n, qs)
-    b = spectra.eigenfunction_grid(model, m, qs)
+    a, b = spectra.eigenfunction_grid(model, [n, m], qs)
     return float(np.trapezoid(np.sign(qs) * a * b, qs))
 
 
@@ -209,8 +208,7 @@ def _grid_cdfs(state, tau, n_points):
     of the mass."""
     qs = span_grid(state, n_points)
     model = state.slice.model
-    table = np.array([spectra.eigenfunction_grid(model, int(n), qs)
-                      for n in state.slice.indices])
+    table = spectra.eigenfunction_grid(model, state.slice.indices, qs)
     energies = np.asarray(state.slice.energies)
     cdfs = []
     for k in range(3):

@@ -118,6 +118,13 @@ class TestScore:
         assert json.loads(err)["error"]["type"] == "DyncertError"
         assert not target.exists()
 
+    def test_scan_nmax_below_first_level_exit_2(self, capsys):
+        code, _, err = run(capsys, "score", "--model", "well", "--nmax", "0",
+                           "--scan", "--tau-min", "0.8", "--tau-max", "1.2",
+                           "--tau-points", "3")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
     def test_empty_scan_exit_2(self, capsys):
         code, _, _ = run(capsys, "score", "--model", "well", "--scan",
                          "--tau-min", "0.3", "--tau-max", "0.5",

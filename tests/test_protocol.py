@@ -225,6 +225,14 @@ class TestScan:
         assert all(p.error is None for p in pts)
         assert abs(pts[1].p3_max - 0.687) < 1e-3
 
+    @pytest.mark.parametrize("mdl,n_hat", [(models.infinite_well(), 0),
+                                           (models.harmonic(), -1)])
+    def test_truncation_below_first_level(self, mdl, n_hat):
+        with pytest.raises(DomainError, match="below the first"):
+            protocol.truncated_slice(mdl, n_hat)
+        with pytest.raises(DomainError, match="below the first"):
+            protocol.scan_tau(mdl, [0.9, 1.0], n_hat=n_hat)
+
     def test_csv(self):
         pts = protocol.scan_tau(models.infinite_well(), [0.4])
         text = protocol.scan_to_csv(pts)
@@ -245,6 +253,14 @@ class TestScenarios:
         assert protocol.harmonic_limit_tau(6) == 1.0
         t4 = protocol.harmonic_limit_tau(4)
         assert abs(t4 - 1.1775) < 1e-3
+
+    @pytest.mark.xfail(strict=True, reason="the tau search never scores "
+                       "its interval ends, and this optimum lies at 0.75")
+    def test_optimal_tau_at_interval_end(self):
+        mdl = models.kerr(-0.01)
+        at_end = protocol.max_score(protocol.truncated_slice(mdl, 4), 0.75)
+        res = protocol.scenario_compare(mdl, 4)
+        assert res[0].p3 >= at_end.p3_max - 1e-12
 
     def test_warns_on_strong_anharmonicity(self):
         with pytest.warns(UserWarning):

@@ -121,6 +121,22 @@ class TestEigenfunctions:
             v = spectra.eigenfunction_grid(mdl, n, qs)
             assert abs(np.trapezoid(v * v, qs) - 1.0) < 1e-7
 
+    @pytest.mark.parametrize("mdl", [
+        models.harmonic(), models.kerr(0.05), models.pendulum(-0.05),
+        models.morse(8.0), models.infinite_well()])
+    @pytest.mark.parametrize("shape", [(41,), (5, 7)])
+    def test_table_matches_scalar_calls(self, mdl, shape):
+        # unsorted, repeated levels; points on either side of a box edge
+        ns = np.array([5, 0, 3, 3]) + (1 if mdl.kind == models.WELL else 0)
+        lo, hi = spectra.position_span(mdl, 6)
+        qs = np.linspace(1.1 * lo, 1.1 * hi, np.prod(shape)).reshape(shape)
+        ref = np.stack([spectra.eigenfunction_grid(mdl, int(n), qs)
+                        for n in ns])
+        for levels in (ns, ns.reshape(2, 2)):
+            got = spectra.eigenfunction_grid(mdl, levels, qs)
+            assert got.shape == levels.shape + qs.shape
+            assert np.array_equal(got, ref.reshape(got.shape))
+
     def test_harmonic_values_vs_scipy(self):
         xs = np.linspace(-4, 4, 9)
         for n in (0, 3, 6):
