@@ -35,5 +35,5 @@ for tau in (0.75, 1.5):
 print("\nFour levels suffice if tau is re-optimized:")
 slc4 = protocol.truncated_slice(model, 4, check=False)
 tau_star, p_star = protocol.maximize_over_tau(
-    lambda t: protocol.max_score(slc4, t).p3_max)
+    lambda t: protocol.p3_max(slc4, t))
 print(f"  optimum P3 = {p_star:.6f} at tau = {tau_star:.4f}")

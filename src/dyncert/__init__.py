@@ -10,7 +10,8 @@ from .classical import (EnergyWindow, TrappingTimes, classical_score_oracle,
                         energy_window, pos, trapping_times)
 from .errors import (ConvergenceError, DomainError, DyncertError,
                      EmptySliceError, EmptyWindowError, LibrationError,
-                     NumericalInstabilityError, UnsupportedTauError)
+                     NumericalInstabilityError, UnboundedSpectrumError,
+                     UnsupportedTauError)
 from .models import (ModelSystem, harmonic, infinite_well, kerr, morse,
                      pendulum)
 from .phasespace import (WignerGrid, marginal_density, wigner_angular,

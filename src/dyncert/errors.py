@@ -35,6 +35,10 @@ class LibrationError(DomainError):
     """Pendulum energy at or above the separatrix (librating trajectory)."""
 
 
+class UnboundedSpectrumError(DomainError):
+    """A window without a finite e_max on a spectrum without a top level."""
+
+
 class UnsupportedTauError(DomainError):
     """Probing ratio outside the model's admissible range."""
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import models, spectra
 from .classical import TAU_HI, TAU_LO, EnergyWindow, energy_window
-from .errors import DomainError, DyncertError, NumericalInstabilityError
+from .errors import (DomainError, DyncertError, NumericalInstabilityError,
+                     UnboundedSpectrumError)
 from .numerics import HermitianOperator, hermitian_max_eigenpair
 
 THETA4 = 0.215 * pi
@@ -67,12 +68,14 @@ class ScoreResult:
         }
 
 
-def _phase_vectors(energies, tau):
-    """Rows d_k[i] = exp(i k tau 2 pi E_i / 3) for k = 0, 1, 2."""
-    if not np.isfinite(tau):
-        raise DomainError(f"probing ratio {tau} is not finite")
-    base = np.exp(1j * tau * 2.0 * pi * np.asarray(energies) / 3.0)
-    return np.stack([np.ones_like(base), base, base * base])
+def _phase_vectors(energies, taus):
+    """d[j, k, i] = exp(i k tau_j 2 pi E_i / 3) for k = 0, 1, 2, shaped
+    (m, 3, n) for m probing ratios (a scalar is one)."""
+    if not np.isfinite(taus).all():
+        raise DomainError(f"probing ratio {taus} is not finite")
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    base = np.exp(1j * taus[:, None] * 2.0 * pi * np.asarray(energies) / 3.0)
+    return np.stack([np.ones_like(base), base, base * base], axis=1)
 
 
 def build_q3(slc, tau):
@@ -84,7 +87,7 @@ def build_q3(slc, tau):
     D_k^dagger v sit side by side as columns, so S acts on all of them in
     one ``slc.sgn_matmul``.
     """
-    rot = _phase_vectors(slc.energies, tau).T
+    rot = _phase_vectors(slc.energies, tau)[0].T
     unrot = rot.conj()
 
     def matvec(v):
@@ -94,65 +97,86 @@ def build_q3(slc, tau):
     return HermitianOperator(slc.dim, matvec, norm_bound=1.0)
 
 
-def max_score(slc, tau, window=None):
-    """Largest eigenvalue of Q3 with its eigenvector (largest-modulus
-    amplitude real and positive), as a ScoreResult.
+def _top_pairs(slc, taus):
+    """Top eigenvalues of Q3 at m probing ratios, (m,), with eigenvectors,
+    (m, dim): the one solver choice behind max_score and p3_max.
 
-    Up to spectra.DENSE_EIG_LIMIT levels the pair comes from the dense
-    block S o K of Q3 - I/2 that the slice holds, with K = (1/6) sum_k
-    d_k d_k^dagger: Morse takes ``eigh`` of the full block. In a
-    parity-even model Q3 - I/2 couples even to odd levels only, by the
-    block C = S o K[even, odd], so the pair is 1/2 + sigma_max(C) and
-    (u + v)/sqrt(2) from C's SVD, and a slice of one parity scores 1/2.
-    Larger slices go to Lanczos on :func:`build_q3`.
+    Up to spectra.DENSE_EIG_LIMIT levels every tau's dense block S o K of
+    Q3 - I/2, K = (1/6) sum_k d_k d_k^dagger, is solved in one stacked call:
+    Morse takes ``eigh`` of its full blocks. A parity-even block couples
+    even to odd levels only, by C = S o K[even, odd], so a pair is
+    1/2 + sigma_max(C) and (u + v)/sqrt(2) from C's SVD (with vectors: a
+    values-only SVD can differ in sigma's last bit), and a one-parity slice
+    scores 1/2. Larger slices go to Lanczos on :func:`build_q3` per tau.
     """
     if slc.dim == 0:
         raise DomainError("empty slice")
     if slc.dim > spectra.DENSE_EIG_LIMIT:
-        value, vector = hermitian_max_eigenpair(build_q3(slc, tau))
+        values, vectors = map(np.array, zip(*(
+            hermitian_max_eigenpair(build_q3(slc, t))
+            for t in np.atleast_1d(taus))))
     else:
         rows, cols = spectra.sgn_positions(slc.model, slc.indices)
-        d = _phase_vectors(slc.energies, tau)
-        block = slc.sgn[:] * (d[:, rows].T @ d[:, cols].conj()) / 6.0
+        d = _phase_vectors(slc.energies, taus)
+        block = slc.sgn[:] * (d[:, :, rows].transpose(0, 2, 1)
+                              @ d[:, :, cols].conj()) / 6.0
         if not slc.model.is_even_potential:
             w, v = np.linalg.eigh(block)
-            value, vector = 0.5 + w[-1], v[:, -1]
+            values, vectors = 0.5 + w[:, -1], v[:, :, -1]
         elif block.size:
             u, sigma, vh = np.linalg.svd(block)
-            value, vector = 0.5 + sigma[0], np.empty(slc.dim, dtype=complex)
-            vector[rows], vector[cols] = u[:, 0], vh[0].conj()
+            values = 0.5 + sigma[:, 0]
+            vectors = np.empty((len(d), slc.dim), dtype=complex)
+            vectors[:, rows], vectors[:, cols] = u[:, :, 0], vh[:, 0].conj()
         else:  # one parity: Q3 = I/2
-            value, vector = 0.5, np.ones(slc.dim)
-    vector = vector / np.linalg.norm(vector)
+            values, vectors = np.full(len(d), 0.5), np.ones((len(d), slc.dim))
+    return _in_unit_range(values), vectors
+
+
+def max_score(slc, tau, window=None):
+    """Largest eigenvalue of Q3 at one tau with its eigenvector
+    (largest-modulus amplitude real and positive), as a ScoreResult."""
+    values, vectors = _top_pairs(slc, tau)
+    vector = vectors[0] / np.linalg.norm(vectors[0])
     top = vector[np.argmax(np.abs(vector))]
     state = QuantumState(slc, vector * (abs(top) / top))
-    return ScoreResult(_in_unit_range(value), state, tau, window)
+    return ScoreResult(float(values[0]), state, tau, window)
+
+
+def p3_max(slc, taus):
+    """max_score(slc, tau).p3_max at each of the probing ratios ``taus``,
+    as an array, without the states."""
+    return _top_pairs(slc, taus)[0]
 
 
 def score_state(state, tau):
-    """P3 = <psi|Q3(tau)|psi>, real in [0, 1]: the mean of the three
-    :func:`round_probabilities`."""
-    return sum(round_probabilities(state, tau)) / 3.0
+    """P3 = <psi|Q3(tau)|psi>, real in [0, 1], at one tau or at each of an
+    array of them: the mean of the three :func:`round_probabilities`."""
+    p = round_probabilities(state, tau)
+    return (p[..., 0] + p[..., 1] + p[..., 2]) / 3.0
 
 
 def round_probabilities(state, tau):
     """(P_0, P_1, P_2): the Born probability that the position measured at
     probing time k tau T/3 is positive, P_k = (1 + <v_k|S|v_k>)/2 with
-    v_k = D_k^dagger psi; their mean is P3."""
-    vs = (_phase_vectors(state.slice.energies, tau).conj() * state.amplitudes).T
+    v_k = D_k^dagger psi; their mean is P3. An array of taus gives one row
+    per tau, from one ``sgn_matmul`` over every (tau, k) column."""
+    vs = (_phase_vectors(state.slice.energies, tau).conj()
+          * state.amplitudes).reshape(-1, state.slice.dim).T
     forms = np.sum(vs.conj() * state.slice.sgn_matmul(vs), axis=0).real
-    return tuple(_in_unit_range(0.5 * (1.0 + f)) for f in forms)
+    return _in_unit_range(0.5 * (1.0 + forms)).reshape(np.shape(tau) + (3,))
 
 
-def _in_unit_range(value):
-    """A Q3 expectation value or probability, clipped into [0, 1] only
+def _in_unit_range(values):
+    """Q3 expectation values or probabilities, clipped into [0, 1] only
     within round-off."""
-    value = float(value)
-    if not -SCORE_RANGE_TOL <= value <= 1.0 + SCORE_RANGE_TOL:
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= -SCORE_RANGE_TOL) & (values <= 1.0 + SCORE_RANGE_TOL))
+    if bad.any():
         raise NumericalInstabilityError(
-            f"Q3 value {value!r} lies outside [0, 1] beyond round-off; "
-            "the spectrum slice is inconsistent")
-    return min(max(value, 0.0), 1.0)
+            f"Q3 value {float(values[bad][0])!r} lies outside [0, 1] beyond "
+            "round-off; the spectrum slice is inconsistent")
+    return np.clip(values, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +232,7 @@ def scan_tau(model, tau_grid, window=None, check=False, n_hat=None):
     hence a single slice). With ``n_hat`` every point scores the fixed
     truncation of the n_hat+1 lowest levels instead, and no window applies.
     Per-point failures are recorded on the returned points instead of
-    aborting the scan.
+    aborting the scan, but an unbounded spectrum and window raise.
     """
     fixed = None
     if n_hat is not None:
@@ -230,6 +254,8 @@ def scan_tau(model, tau_grid, window=None, check=False, n_hat=None):
                 win, slc = fixed
             result = max_score(slc, tau, window=win)
             points.append(ScanPoint(float(tau), result.p3_max))
+        except UnboundedSpectrumError:
+            raise  # the same at every tau: no point could be scored
         except DyncertError as exc:
             points.append(ScanPoint(float(tau), float("nan"), str(exc)))
     return points
@@ -262,35 +288,33 @@ _GOLDEN = (sqrt(5.0) - 1.0) / 2.0
 TAU_SEARCH_TOL, TAU_SEARCH_STARTS = 1e-6, 8  # resolution, sub-intervals
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section maximization on [lo, hi] to TAU_SEARCH_TOL."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > TAU_SEARCH_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def maximize_over_tau(f):
     """(tau, f(tau)) maximizing f on [TAU_LO, TAU_HI]: golden-section searches
-    on TAU_SEARCH_STARTS equal sub-intervals guard against non-concavity."""
+    to TAU_SEARCH_TOL on TAU_SEARCH_STARTS equal sub-intervals guard against
+    non-concavity. f maps an array of taus to an array of values; the
+    searches run in lockstep, one f call per step for the next tau of each
+    unfinished search, each with a serial search's arithmetic, and the
+    first of equal maxima wins. The interval ends are never scored
+    (TestScenarios.test_optimal_tau_at_interval_end)."""
     edges = np.linspace(TAU_LO, TAU_HI, TAU_SEARCH_STARTS + 1)
-    best = (None, -np.inf)
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, v = _golden_max(f, float(a), float(b))
-        if v > best[1]:
-            best = (x, v)
-    return best
+    a, b = edges[:-1], edges[1:]
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    while (run := b - a > TAU_SEARCH_TOL).any():
+        up = run & (f1 < f2)  # keep [x1, b]; down keeps [a, x2]
+        down = run & ~up
+        a, b = np.where(up, x1, a), np.where(down, x2, b)
+        x1, x2 = np.where(up, x2, x1), np.where(down, x1, x2)
+        f1, f2 = np.where(up, f2, f1), np.where(down, f1, f2)
+        x2 = np.where(up, a + _GOLDEN * (b - a), x2)
+        x1 = np.where(down, b - _GOLDEN * (b - a), x1)
+        fresh = np.zeros_like(f1)
+        fresh[run] = f(np.where(up, x2, x1)[run])
+        f1, f2 = np.where(down, fresh, f1), np.where(up, fresh, f2)
+    x = 0.5 * (a + b)
+    v = f(x)
+    best = int(np.argmax(v))
+    return float(x[best]), float(v[best])
 
 
 @dataclass(frozen=True)
@@ -333,7 +357,7 @@ def scenario_compare(model, n_hat, check=False):
     slc = truncated_slice(model, n_hat, check=check)
     ref = reference_state("psi6" if n_hat == 6 else "psi4", slc)
 
-    tau_i, p_i = maximize_over_tau(lambda t: max_score(slc, t).p3_max)
+    tau_i, p_i = maximize_over_tau(lambda t: p3_max(slc, t))
     tau_ii, p_ii = maximize_over_tau(lambda t: score_state(ref, t))
     tau_iii = harmonic_limit_tau(n_hat)
     p_iii = score_state(ref, tau_iii)

@@ -36,13 +36,22 @@ class McEstimate:
                            "p3_hat": self.p3_hat, "stderr": self.stderr})
 
 
-def _chunk_count(thresholds, seed, chunk, m):
-    """Rounds of one chunk that score 1: u > 1 - P_k at their probing time."""
+def _chunk_buffers(m):
+    """Room for m rounds' uniforms, thresholds and comparisons."""
+    return np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+
+
+def _chunk_count(thresholds, seed, chunk, m, buffers=None):
+    """Rounds of one chunk that score 1: u > 1 - P_k at their probing time,
+    drawn into ``buffers`` from :func:`_chunk_buffers` (fresh ones if
+    None)."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, chunk], dtype=np.uint64)))
     ks = rng.integers(0, 3, size=m)
-    us = rng.random(size=m)
-    return np.count_nonzero(us > thresholds[ks])
+    us, limits, hits = (b[:m] for b in buffers or _chunk_buffers(m))
+    rng.random(out=us)
+    np.take(thresholds, ks, out=limits, mode="clip")
+    return np.count_nonzero(np.greater(us, limits, out=hits))
 
 
 def run_protocol(state, tau, n_rounds, seed, workers=1):
@@ -61,13 +70,19 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
     thresholds = 1.0 - np.array(protocol.round_probabilities(state, tau))
     plan = [(c, min(CHUNK_ROUNDS, n_rounds - c * CHUNK_ROUNDS))
             for c in range(-(-n_rounds // CHUNK_ROUNDS))]
-    if workers > 1 and len(plan) > 1:
+
+    def count(share):  # one worker's chunks, drawn into its own buffers
+        buffers = _chunk_buffers(share[0][1])
+        return sum(_chunk_count(thresholds, seed, c, m, buffers)
+                   for c, m in share)
+
+    shares = [plan[w::workers] for w in range(min(workers, len(plan)))]
+    if len(shares) > 1:
         import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = list(ex.map(
-                lambda cm: _chunk_count(thresholds, seed, *cm), plan))
+        with concurrent.futures.ThreadPoolExecutor(len(shares)) as ex:
+            counts = list(ex.map(count, shares))
     else:
-        counts = [_chunk_count(thresholds, seed, c, m) for c, m in plan]
+        counts = [count(plan)]
     mean = sum(counts) / n_rounds
     # 0/1 scores: sample variance n mean (1 - mean) / (n - 1), over n
     stderr = sqrt(mean * (1.0 - mean) / max(n_rounds - 1, 1))

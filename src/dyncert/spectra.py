@@ -19,7 +19,8 @@ from math import pi, sqrt, log, log1p, lgamma, isinf, floor, ceil
 import numpy as np
 
 from . import models
-from .errors import (DomainError, EmptySliceError, NumericalInstabilityError)
+from .errors import (DomainError, EmptySliceError, NumericalInstabilityError,
+                     UnboundedSpectrumError)
 from .numerics import laguerre, mathieu_eigensystem
 
 SGN_CHECK_TOL = 1e-6
@@ -159,7 +160,7 @@ def levels(model, window):
     e_min, e_max = window.e_min, window.e_max
     first, last = level_range(model)
     if last is None and isinf(e_max):
-        raise DomainError(
+        raise UnboundedSpectrumError(
             f"the {model.describe()} spectrum is unbounded: pass a window "
             "with finite e_max (or a truncation-derived window)")
     count = 1

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles: overlap and trapping-time
-quadratures, a fine-step trajectory integrator, the position CDF of a
+quadratures, a serial golden-section search for the lockstep tau search,
+a fine-step trajectory integrator, the position CDF of a
 state on a grid, and per-round reference reductions: Monte Carlo rounds
 sampled to a position by inverse CDF, and oracle positions, both scored
 by pos(). The classical oracle's direct samplers are checked against a
@@ -70,6 +71,32 @@ def sgn_overlap_oracle(model, n, m, n_points=300001):
         qs = grid(-15.0, 15.0, n_points)
     a, b = spectra.eigenfunction_grid(model, [n, m], qs)
     return float(np.trapezoid(np.sign(qs) * a * b, qs))
+
+
+# ---------------------------------------------------------------------------
+# serial tau search
+# ---------------------------------------------------------------------------
+
+def golden_max_reference(f, lo, hi):
+    """Golden-section maximization of a scalar f on [lo, hi] to
+    protocol.TAU_SEARCH_TOL, one point at a time: the serial search that
+    ``protocol.maximize_over_tau`` runs in lockstep over its sub-intervals."""
+    golden = protocol._GOLDEN
+    a, b = lo, hi
+    x1 = b - golden * (b - a)
+    x2 = a + golden * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > protocol.TAU_SEARCH_TOL:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = f(x1)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +286,7 @@ def run_protocol_reference(monkeypatch, samplers, state, tau, n_rounds, seed):
     """``simulate.run_protocol`` with every round sampled to a position."""
     with monkeypatch.context() as mp:
         mp.setattr(simulate, "_chunk_count",
-                   lambda thresholds, seed, chunk, m:
+                   lambda thresholds, seed, chunk, m, buffers=None:
                    chunk_count_reference(samplers, seed, chunk, m))
         return simulate.run_protocol(state, tau, n_rounds, seed)
 

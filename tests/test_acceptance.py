@@ -43,7 +43,7 @@ def test_criterion_02_five_levels_no_violation():
 def test_criterion_03_four_levels_optimized_tau():
     slc = protocol.truncated_slice(models.harmonic(), 4, check=False)
     tau_star, p_star = protocol.maximize_over_tau(
-        lambda t: protocol.max_score(slc, t).p3_max)
+        lambda t: protocol.p3_max(slc, t))
     near_printed = min(abs(tau_star - 1.177), abs(tau_star - 1.774)) <= 0.01
     ok = abs(p_star - 0.669) <= 1e-3 and near_printed
     _line(3, ok, f"recorded optimum tau*={tau_star:.5f}, p3={p_star:.6f} "

@@ -110,13 +110,29 @@ class TestScore:
                    for r in rows)
 
     def test_scan_all_points_failed_exit_3(self, capsys, tmp_path):
+        # the pendulum's tau = 0.75 window collapses to one energy, which
+        # holds no level: a failure of that point, not of the command line
         target = tmp_path / "scan.csv"
-        code, out, err = run(capsys, "score", "--model", "harmonic",
-                             "--scan", "--tau-min", "0.9", "--tau-max", "1.1",
-                             "--tau-points", "3", "--output", str(target))
+        code, out, err = run(capsys, "score", "--model", "pendulum",
+                             "--alpha", "-0.02", "--scan", "--tau-min",
+                             "0.75", "--tau-max", "0.75", "--tau-points", "1",
+                             "--output", str(target))
         assert code == 3
         assert json.loads(err)["error"]["type"] == "DyncertError"
         assert not target.exists()
+
+    def test_scan_unbounded_spectrum_exit_2(self, capsys, tmp_path):
+        # every tau's harmonic window is [0, inf): without --nmax no point
+        # has a finite slice, a usage error as in the single-tau form
+        target = tmp_path / "scan.csv"
+        code, _, err = run(capsys, "score", "--model", "harmonic", "--scan",
+                           "--tau-min", "0.8", "--tau-max", "1.2",
+                           "--tau-points", "3", "--output", str(target))
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "UnboundedSpectrumError"
+        assert not target.exists()
+        single, _, _ = run(capsys, "score", "--model", "harmonic", "--tau", "1")
+        assert single == 2
 
     def test_scan_nmax_below_first_level_exit_2(self, capsys):
         code, _, err = run(capsys, "score", "--model", "well", "--nmax", "0",

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from dyncert import models, protocol, spectra
-from dyncert.classical import energy_window
-from dyncert.errors import DomainError, NumericalInstabilityError
+from dyncert.classical import TAU_HI, TAU_LO, energy_window
+from dyncert.errors import (DomainError, NumericalInstabilityError,
+                            UnboundedSpectrumError)
 from dyncert.numerics import hermitian_max_eigenpair
-from conftest import expand_sgn
+from conftest import expand_sgn, golden_max_reference
 
 
 class TestQuantumState:
@@ -183,9 +184,113 @@ class TestMaxScore:
         state = protocol.reference_state("psi6", harmonic_slice6)
         for call in (lambda: protocol.max_score(harmonic_slice6, tau),
                      lambda: protocol.score_state(state, tau),
-                     lambda: protocol.round_probabilities(state, tau)):
+                     lambda: protocol.round_probabilities(state, tau),
+                     lambda: protocol.p3_max(harmonic_slice6, [1.0, tau]),
+                     lambda: protocol.score_state(state, [1.0, tau])):
             with pytest.raises(DomainError):
                 call()
+
+
+TAUS = np.linspace(0.75, 1.5, 41)
+
+
+class TestBatchedScores:
+    """p3_max and score_state over an array of taus against one scalar
+    call per tau."""
+
+    @pytest.mark.parametrize("mdl,n_hat", FIVE_MODELS + [
+        (models.kerr(-0.02), 20), (models.morse(5.0), 4),
+        (models.morse(20.0), 19)])
+    def test_p3_max_bits_match_max_score(self, mdl, n_hat):
+        slc = protocol.truncated_slice(mdl, n_hat, check=False)
+        scalar = [protocol.max_score(slc, t).p3_max for t in TAUS]
+        assert protocol.p3_max(slc, TAUS).tolist() == scalar
+
+    def test_one_parity_slice(self):
+        mdl = models.infinite_well()
+        slc = spectra.spectrum_slice(mdl, energy_window(mdl, 1.2))
+        assert slc.indices == (2,)
+        assert protocol.p3_max(slc, [1.2, 1.2, 1.3]).tolist() == [0.5] * 3
+
+    def test_lanczos_slice(self):
+        slc = protocol.truncated_slice(models.harmonic(), 250, check=False)
+        assert slc.dim > spectra.DENSE_EIG_LIMIT
+        taus = [0.8, 1.0, 1.3]
+        scalar = [protocol.max_score(slc, t).p3_max for t in taus]
+        assert protocol.p3_max(slc, taus).tolist() == scalar
+
+    @pytest.mark.parametrize("mdl,n_hat", FIVE_MODELS)
+    def test_score_state_matches_scalar_calls(self, mdl, n_hat):
+        slc = protocol.truncated_slice(mdl, n_hat, check=False)
+        state = protocol.max_score(slc, 1.1).state
+        scores = protocol.score_state(state, TAUS)
+        probs = protocol.round_probabilities(state, TAUS)
+        assert scores.shape == TAUS.shape and probs.shape == TAUS.shape + (3,)
+        for t, score, row in zip(TAUS, scores, probs):
+            assert abs(score - protocol.score_state(state, t)) <= 1e-15
+            assert np.max(np.abs(
+                row - protocol.round_probabilities(state, t))) <= 1e-15
+
+    def test_one_value_out_of_range_raises(self, harmonic_slice6):
+        # with an all-ones sgn block, tau = 1.35 and 0.75 still score
+        # inside [0, 1] and tau = 1.0 does not
+        bad = dataclasses.replace(harmonic_slice6, sgn=np.ones((4, 3)))
+        assert protocol.max_score(bad, 1.35).p3_max <= 1.0
+        with pytest.raises(NumericalInstabilityError):
+            protocol.p3_max(bad, [1.35, 1.0])
+        amps = np.zeros(7, dtype=complex)
+        amps[:3] = np.exp(0.25j * np.pi * np.arange(3)) / sqrt(3.0)
+        state = protocol.QuantumState(bad, amps)
+        assert protocol.score_state(state, 0.75) <= 1.0
+        with pytest.raises(NumericalInstabilityError):
+            protocol.score_state(state, [0.75, 1.0])
+
+
+SEARCH_CASES = ([(models.kerr(a), n) for n in (4, 6)
+                 for a in (-0.02, -0.01, 0.0, 0.01, 0.02)]
+                + [(models.harmonic(), 4)])
+
+
+def _serial_maximum(f):
+    """The best of the serial golden searches on the sub-intervals, first
+    of equal values."""
+    edges = np.linspace(TAU_LO, TAU_HI, protocol.TAU_SEARCH_STARTS + 1)
+    best = (None, -np.inf)
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, v = golden_max_reference(f, float(a), float(b))
+        if v > best[1]:
+            best = (x, v)
+    return best
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("mdl,n_hat", SEARCH_CASES, ids=[
+        f"{m.describe()}-n{n}" for m, n in SEARCH_CASES])
+    def test_matches_serial_search(self, mdl, n_hat):
+        # scenarios (i) and (ii); kerr(-0.01) at n_hat = 4 has its maximum
+        # on the interval end 0.75, where both searches stop short alike
+        slc = protocol.truncated_slice(mdl, n_hat, check=False)
+        ref = protocol.reference_state("psi6" if n_hat == 6 else "psi4", slc)
+        for batched, scalar in [
+                (lambda t: protocol.p3_max(slc, t),
+                 lambda t: protocol.max_score(slc, t).p3_max),
+                (lambda t: protocol.score_state(ref, t),
+                 lambda t: protocol.score_state(ref, t))]:
+            assert (protocol.maximize_over_tau(batched)
+                    == _serial_maximum(scalar))
+
+    def test_one_call_per_step(self, harmonic_slice6):
+        calls = []
+
+        def f(taus):
+            calls.append(len(taus))
+            return protocol.p3_max(harmonic_slice6, taus)
+
+        protocol.maximize_over_tau(f)
+        starts = protocol.TAU_SEARCH_STARTS
+        assert calls[0] == 2 * starts and calls[-1] == starts
+        assert all(0 < n <= starts for n in calls[1:])
+        assert len(calls) < 30
 
 
 class TestReferenceStates:
@@ -232,6 +337,11 @@ class TestScan:
             protocol.truncated_slice(mdl, n_hat)
         with pytest.raises(DomainError, match="below the first"):
             protocol.scan_tau(mdl, [0.9, 1.0], n_hat=n_hat)
+
+    def test_unbounded_spectrum_raises(self):
+        # the harmonic window is [0, inf) at every tau: no point can score
+        with pytest.raises(UnboundedSpectrumError):
+            protocol.scan_tau(models.harmonic(), [0.9, 1.0])
 
     def test_csv(self):
         pts = protocol.scan_tau(models.infinite_well(), [0.4])

@@ -32,6 +32,15 @@ class TestRunProtocol:
         b = simulate.run_protocol(psi6, 1.0, 300000, seed=9, workers=8)
         assert a.p3_hat == b.p3_hat
 
+    @pytest.mark.parametrize("workers", [2, 3, 40])
+    def test_uneven_worker_shares_bit_identical(self, psi6, workers):
+        # 7 chunks, the last one short: each worker draws its share of them
+        # into its own buffers, sized by its first (full) chunk
+        n = 6 * simulate.CHUNK_ROUNDS + 12345
+        a = simulate.run_protocol(psi6, 1.0, n, seed=11, workers=1)
+        b = simulate.run_protocol(psi6, 1.0, n, seed=11, workers=workers)
+        assert a == b
+
     def test_matches_exact_score(self, psi6):
         exact = protocol.score_state(psi6, 1.0)
         est = simulate.run_protocol(psi6, 1.0, 200000, seed=3)
