@@ -1,8 +1,11 @@
 """From exact scores to simulated experiments and phase-space pictures.
 
-run_protocol simulates the actual measurement procedure: per round a
-random probing time and a positivity outcome drawn with the Born
-probability that the position measured then is positive.
+run_protocol simulates the actual measurement procedure, in which each
+round probes one of the three times uniformly at random and scores 1 with
+the Born probability P_k that the position measured then is positive. It
+draws that law per chunk of m rounds: the rounds at each time from
+Multinomial(m; 1/3, 1/3, 1/3), and the scoring rounds at time k from
+Binomial(m_k, P_k).
 The Wigner function shows where the certified state hides its
 nonclassicality.
 """

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import models, spectra
 from .classical import TAU_HI, TAU_LO, EnergyWindow, energy_window
-from .errors import (DomainError, DyncertError, NumericalInstabilityError,
-                     UnboundedSpectrumError)
+from .errors import (ConvergenceError, DomainError, DyncertError,
+                     NumericalInstabilityError, UnboundedSpectrumError)
 from .numerics import HermitianOperator, hermitian_max_eigenpair
 
 THETA4 = 0.215 * pi
@@ -25,6 +25,10 @@ THETA4 = 0.215 * pi
 # Q3 is a convex mix of projectors, so its spectrum lies in [0, 1]; a
 # value beyond round-off of that range means a broken slice
 SCORE_RANGE_TOL = 1e-12
+# Lanczos runs short on some Kerr slices, whose top eigenvalues cluster
+# (Kerr(0.02), n_hat = 800); a parity-even slice of up to this many levels
+# then takes the dense SVD (88 ms at n_hat = 800, one BLAS thread)
+DENSE_FALLBACK_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -107,30 +111,47 @@ def _top_pairs(slc, taus):
     even to odd levels only, by C = S o K[even, odd], so a pair is
     1/2 + sigma_max(C) and (u + v)/sqrt(2) from C's SVD (with vectors: a
     values-only SVD can differ in sigma's last bit), and a one-parity slice
-    scores 1/2. Larger slices go to Lanczos on :func:`build_q3` per tau.
+    scores 1/2. Larger slices go to Lanczos on :func:`build_q3` per tau; a
+    parity-even one of up to DENSE_FALLBACK_LIMIT levels takes the SVD at a
+    tau where Lanczos falls short.
     """
     if slc.dim == 0:
         raise DomainError("empty slice")
-    if slc.dim > spectra.DENSE_EIG_LIMIT:
-        values, vectors = map(np.array, zip(*(
-            hermitian_max_eigenpair(build_q3(slc, t))
-            for t in np.atleast_1d(taus))))
+    if slc.dim <= spectra.DENSE_EIG_LIMIT:
+        values, vectors = _dense_top_pairs(slc, taus)
     else:
-        rows, cols = spectra.sgn_positions(slc.model, slc.indices)
-        d = _phase_vectors(slc.energies, taus)
-        block = slc.sgn[:] * (d[:, :, rows].transpose(0, 2, 1)
-                              @ d[:, :, cols].conj()) / 6.0
-        if not slc.model.is_even_potential:
-            w, v = np.linalg.eigh(block)
-            values, vectors = 0.5 + w[:, -1], v[:, :, -1]
-        elif block.size:
-            u, sigma, vh = np.linalg.svd(block)
-            values = 0.5 + sigma[:, 0]
-            vectors = np.empty((len(d), slc.dim), dtype=complex)
-            vectors[:, rows], vectors[:, cols] = u[:, :, 0], vh[:, 0].conj()
-        else:  # one parity: Q3 = I/2
-            values, vectors = np.full(len(d), 0.5), np.ones((len(d), slc.dim))
+        pairs = []
+        for t in np.atleast_1d(taus):
+            try:
+                pairs.append(hermitian_max_eigenpair(build_q3(slc, t)))
+            except ConvergenceError:
+                if (not slc.model.is_even_potential
+                        or slc.dim > DENSE_FALLBACK_LIMIT):
+                    raise
+                values, vectors = _dense_top_pairs(slc, t)
+                pairs.append((values[0], vectors[0]))
+        values, vectors = map(np.array, zip(*pairs))
     return _in_unit_range(values), vectors
+
+
+def _dense_top_pairs(slc, taus):
+    """The pairs of :func:`_top_pairs`, unchecked, from the dense block
+    whatever the slice size."""
+    rows, cols = spectra.sgn_positions(slc.model, slc.indices)
+    d = _phase_vectors(slc.energies, taus)
+    block = slc.sgn[:] * (d[:, :, rows].transpose(0, 2, 1)
+                          @ d[:, :, cols].conj()) / 6.0
+    if not slc.model.is_even_potential:
+        w, v = np.linalg.eigh(block)
+        values, vectors = 0.5 + w[:, -1], v[:, :, -1]
+    elif block.size:
+        u, sigma, vh = np.linalg.svd(block)
+        values = 0.5 + sigma[:, 0]
+        vectors = np.empty((len(d), slc.dim), dtype=complex)
+        vectors[:, rows], vectors[:, cols] = u[:, :, 0], vh[:, 0].conj()
+    else:  # one parity: Q3 = I/2
+        values, vectors = np.full(len(d), 0.5), np.ones((len(d), slc.dim))
+    return values, vectors
 
 
 def max_score(slc, tau, window=None):

@@ -1,9 +1,12 @@
 """Monte Carlo simulation of the three-time protocol.
 
 Each round picks one of the three probing times k tau T/3 uniformly at
-random and a uniform u. The position measured then is positive with the
-Born probability P_k (``protocol.round_probabilities``), so the round
-scores 1 when u > 1 - P_k and 0 otherwise: no position is sampled.
+random and scores 1 when the position measured then is positive, which
+happens with the Born probability P_k (``protocol.round_probabilities``).
+A chunk of m rounds therefore splits over the times as
+Multinomial(m; 1/3, 1/3, 1/3), and its m_k rounds at time k score
+Binomial(m_k, P_k): the chunk draws those four counts, not its rounds, and
+no position is sampled.
 """
 
 import json
@@ -36,22 +39,13 @@ class McEstimate:
                            "p3_hat": self.p3_hat, "stderr": self.stderr})
 
 
-def _chunk_buffers(m):
-    """Room for m rounds' uniforms, thresholds and comparisons."""
-    return np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-
-
-def _chunk_count(thresholds, seed, chunk, m, buffers=None):
-    """Rounds of one chunk that score 1: u > 1 - P_k at their probing time,
-    drawn into ``buffers`` from :func:`_chunk_buffers` (fresh ones if
-    None)."""
+def _chunk_count(probs, seed, chunk, m):
+    """Rounds of one chunk of m that score 1, given the P_k of ``probs``:
+    the rounds per probing time, then the scoring rounds among them."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, chunk], dtype=np.uint64)))
-    ks = rng.integers(0, 3, size=m)
-    us, limits, hits = (b[:m] for b in buffers or _chunk_buffers(m))
-    rng.random(out=us)
-    np.take(thresholds, ks, out=limits, mode="clip")
-    return np.count_nonzero(np.greater(us, limits, out=hits))
+    per_time = rng.multinomial(m, [1.0 / 3.0] * 3)
+    return int(rng.binomial(per_time, probs).sum())
 
 
 def run_protocol(state, tau, n_rounds, seed, workers=1):
@@ -67,14 +61,12 @@ def run_protocol(state, tau, n_rounds, seed, workers=1):
     check_integer("n_rounds", n_rounds, 1)
     check_integer("seed", seed, 0)
     check_integer("workers", workers, 1)
-    thresholds = 1.0 - np.array(protocol.round_probabilities(state, tau))
+    probs = protocol.round_probabilities(state, tau)
     plan = [(c, min(CHUNK_ROUNDS, n_rounds - c * CHUNK_ROUNDS))
             for c in range(-(-n_rounds // CHUNK_ROUNDS))]
 
-    def count(share):  # one worker's chunks, drawn into its own buffers
-        buffers = _chunk_buffers(share[0][1])
-        return sum(_chunk_count(thresholds, seed, c, m, buffers)
-                   for c, m in share)
+    def count(share):
+        return sum(_chunk_count(probs, seed, c, m) for c, m in share)
 
     shares = [plan[w::workers] for w in range(min(workers, len(plan)))]
     if len(shares) > 1:

@@ -286,7 +286,7 @@ def run_protocol_reference(monkeypatch, samplers, state, tau, n_rounds, seed):
     """``simulate.run_protocol`` with every round sampled to a position."""
     with monkeypatch.context() as mp:
         mp.setattr(simulate, "_chunk_count",
-                   lambda thresholds, seed, chunk, m, buffers=None:
+                   lambda probs, seed, chunk, m:
                    chunk_count_reference(samplers, seed, chunk, m))
         return simulate.run_protocol(state, tau, n_rounds, seed)
 

@@ -90,6 +90,13 @@ class TestScore:
         assert len(recs) == 3
         assert recs[0]["p3"] >= recs[1]["p3"] - 1e-10 >= recs[2]["p3"] - 1e-10
 
+    def test_large_kerr_slice_exit_0(self, capsys):
+        # Lanczos runs short on this slice; the dense SVD scores it
+        code, out, _ = run(capsys, "score", "--model", "kerr", "--alpha",
+                           "0.02", "--tau", "1", "--nmax", "800")
+        assert code == 0
+        assert abs(json.loads(out)["p3_max"] - 1.0) <= 1e-10
+
     def test_scan_csv(self, capsys):
         code, out, _ = run(capsys, "score", "--model", "well", "--scan",
                            "--tau-min", "0.3", "--tau-max", "0.5",

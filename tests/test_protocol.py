@@ -9,8 +9,8 @@ import pytest
 
 from dyncert import models, protocol, spectra
 from dyncert.classical import TAU_HI, TAU_LO, energy_window
-from dyncert.errors import (DomainError, NumericalInstabilityError,
-                            UnboundedSpectrumError)
+from dyncert.errors import (ConvergenceError, DomainError,
+                            NumericalInstabilityError, UnboundedSpectrumError)
 from dyncert.numerics import hermitian_max_eigenpair
 from conftest import expand_sgn, golden_max_reference
 
@@ -143,6 +143,25 @@ class TestMaxScore:
             ref_probs = protocol.round_probabilities(
                 protocol.QuantumState(dense, v / np.linalg.norm(v)), tau)
             assert np.allclose(probs, ref_probs, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.01])
+    @pytest.mark.parametrize("n_hat", [800, 1000])
+    def test_large_kerr_slice_scores_one(self, alpha, n_hat):
+        # Lanczos runs short on Kerr(0.02) here (300 vectors) and the SVD
+        # of the densified block takes over; Kerr(0.01) converges
+        slc = protocol.truncated_slice(models.kerr(alpha), n_hat, check=False)
+        r = protocol.max_score(slc, 1.0)
+        assert abs(r.p3_max - 1.0) <= 1e-10
+        v = r.state.amplitudes
+        mv = protocol.build_q3(slc, 1.0).matvec(v)
+        assert np.linalg.norm(mv - r.p3_max * v) <= 1e-8
+        assert abs(protocol.score_state(r.state, 1.0) - r.p3_max) <= 1e-10
+
+    def test_dense_fallback_limited_to_stated_size(self, monkeypatch):
+        slc = protocol.truncated_slice(models.kerr(0.02), 800, check=False)
+        monkeypatch.setattr(protocol, "DENSE_FALLBACK_LIMIT", slc.dim - 1)
+        with pytest.raises(ConvergenceError):
+            protocol.max_score(slc, 1.0)
 
     def test_one_parity_slice_scores_half(self):
         # the well's tau = 1.2 window holds only n = 2, where Q3 = I/2

@@ -1,14 +1,16 @@
 """Monte Carlo protocol simulation: Born probabilities, determinism,
 calibration; the position densities the grid oracle integrates."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
 
 from dyncert import models, phasespace, protocol, simulate, spectra
 from dyncert.classical import energy_window
 from dyncert.errors import DomainError
-from conftest import (cdf_samplers_reference, chunk_count_reference,
-                      grid_cdf_bounds, run_protocol_reference, span_grid)
+from conftest import (cdf_samplers_reference, grid_cdf_bounds,
+                      run_protocol_reference, span_grid)
 
 # grid of the position-space oracle: 5.3e-7 from the Born probabilities
 # on the Morse lambda = 20 optimal state, 6.0e-6 at 40001 points
@@ -32,10 +34,16 @@ class TestRunProtocol:
         b = simulate.run_protocol(psi6, 1.0, 300000, seed=9, workers=8)
         assert a.p3_hat == b.p3_hat
 
+    def test_chunk_count_deterministic(self, psi6):
+        probs = protocol.round_probabilities(psi6, 0.8)
+        for chunk, m in [(0, simulate.CHUNK_ROUNDS), (3, 1000)]:
+            assert (simulate._chunk_count(probs, 2**40 + 7, chunk, m)
+                    == simulate._chunk_count(probs, 2**40 + 7, chunk, m))
+
     @pytest.mark.parametrize("workers", [2, 3, 40])
     def test_uneven_worker_shares_bit_identical(self, psi6, workers):
-        # 7 chunks, the last one short: each worker draws its share of them
-        # into its own buffers, sized by its first (full) chunk
+        # 7 chunks, the last one short: each worker counts its strided
+        # share of them, every chunk from its own (seed, chunk) stream
         n = 6 * simulate.CHUNK_ROUNDS + 12345
         a = simulate.run_protocol(psi6, 1.0, n, seed=11, workers=1)
         b = simulate.run_protocol(psi6, 1.0, n, seed=11, workers=workers)
@@ -111,18 +119,25 @@ def _optimal_state(mdl, tau):
 
 
 class TestSignOnlyKernel:
-    """Each round scores 1 when its uniform exceeds 1 - P_k, P_k the Born
-    probability of q > 0 at its probing time. The position-space oracle
-    must give the same P_k, and rounds sampled to a position by inverse
-    CDF on its grid must score the same."""
+    """A round at probing time k scores 1 with the Born probability P_k of
+    q > 0 then, and the times are uniform, so a chunk of m rounds scores
+    Binomial(m, p_bar), p_bar the mean P_k. The position-space oracle must
+    give the same P_k, and the count kernel must follow that law against
+    the oracle's P_k and agree with rounds sampled to a position by inverse
+    CDF on its grid. Every bound is fixed in advance and no count is
+    pinned: numpy releases may differ in their binomial streams."""
 
     @pytest.fixture(scope="class", params=[
-        "harmonic-psi6", "kerr+0.02", "kerr-0.02", "well", "morse5", "morse20"])
+        "harmonic-psi6", "kerr+0.02", "kerr-0.02", "well", "morse5", "morse20",
+        "psi6-tau0.8"])
     def state_tau(self, request):
         name = request.param
-        if name == "harmonic-psi6":
+        if name in ("harmonic-psi6", "psi6-tau0.8"):
+            # at tau = 0.8 the P_k of psi6 differ (0.687, 0.558, 0.349),
+            # so a wrong split of the rounds over the times moves the mean
             slc = protocol.truncated_slice(models.harmonic(), 6, check=False)
-            return protocol.reference_state("psi6", slc), 1.0
+            return (protocol.reference_state("psi6", slc),
+                    1.0 if name == "harmonic-psi6" else 0.8)
         mdl, tau = {"kerr+0.02": (models.kerr(0.02), 1.0),
                     "kerr-0.02": (models.kerr(-0.02), 1.0),
                     "well": (models.infinite_well(), 0.4),
@@ -134,6 +149,14 @@ class TestSignOnlyKernel:
     def samplers(self, state_tau):
         return cdf_samplers_reference(*state_tau, ORACLE_POINTS)
 
+    @pytest.fixture(scope="class")
+    def oracle_p_bar(self, state_tau):
+        """Mean P_k from the grid CDFs alone, within 1e-6 of the exact one
+        (the test below): 67 rounds over CHUNKS full chunks, under 0.02 of
+        the binomial standard deviation of their sum."""
+        return float(np.mean(1.0 - grid_cdf_bounds(*state_tau,
+                                                   ORACLE_POINTS)[1]))
+
     def test_round_probabilities_match_score_and_grid_oracle(self, state_tau):
         state, tau = state_tau
         probs = protocol.round_probabilities(state, tau)
@@ -141,26 +164,38 @@ class TestSignOnlyKernel:
         f_pos = grid_cdf_bounds(state, tau, ORACLE_POINTS)[1]
         assert np.max(np.abs(np.array(probs) - (1.0 - f_pos))) < 1e-6
 
-    # A round scores differently from its position-sampled reference only
-    # when its uniform falls between 1 - P_k and the grid's F(tol): with
-    # probability 2.6e-7 for Morse lambda = 20 and below 1.5e-8 for the
-    # other states. The two tests below draw 4e5 rounds per state, so
-    # 0.11 differing rounds are expected in all, nearly all for Morse 20.
+    CHUNKS = 1024  # (seed, chunk) keys per seed in the law test
+    Z_MAX = 5.0
+
     @pytest.mark.parametrize("seed", [4, 2**40 + 7])
-    def test_chunk_stats_match_reference(self, state_tau, samplers, seed):
+    def test_chunk_stats_match_reference(self, state_tau, oracle_p_bar, seed):
+        # chunk counts are i.i.d. Binomial(m, p_bar): their sum is
+        # Binomial(K m, p_bar), and their sample variance over m p_bar
+        # (1 - p_bar) is chi2(K - 1)/(K - 1), of sd sqrt(2/(K - 1)) = 0.044
         state, tau = state_tau
-        thresholds = 1.0 - np.array(protocol.round_probabilities(state, tau))
-        for chunk, m in [(0, simulate.CHUNK_ROUNDS), (3, 1000)]:
-            assert (simulate._chunk_count(thresholds, seed, chunk, m)
-                    == chunk_count_reference(samplers, seed, chunk, m))
+        probs = protocol.round_probabilities(state, tau)
+        m, k = simulate.CHUNK_ROUNDS, self.CHUNKS
+        counts = np.array([simulate._chunk_count(probs, seed, c, m)
+                           for c in range(k)])
+        assert np.all((counts >= 0) & (counts <= m))
+        var = m * oracle_p_bar * (1.0 - oracle_p_bar)
+        z = (counts.sum() - k * m * oracle_p_bar) / sqrt(k * var)
+        assert abs(z) <= self.Z_MAX
+        ratio = np.var(counts, ddof=1) / var
+        assert abs(ratio - 1.0) <= self.Z_MAX * sqrt(2.0 / (k - 1))
 
     @pytest.mark.parametrize("seed", [4, 2**40 + 7])
     def test_estimate_matches_reference(self, state_tau, samplers, seed,
                                         monkeypatch):
+        # the two estimates share the Philox keys but not the draws, so
+        # the sd of their difference is at most the sum of their sds
         state, tau = state_tau
         n = 2 * simulate.CHUNK_ROUNDS + 999
         ref = run_protocol_reference(monkeypatch, samplers, state, tau, n, seed)
-        assert simulate.run_protocol(state, tau, n, seed) == ref
+        est = simulate.run_protocol(state, tau, n, seed)
+        assert (est.n_rounds, est.seed) == (ref.n_rounds, ref.seed)
+        assert (abs(est.p3_hat - ref.p3_hat)
+                <= self.Z_MAX * (est.stderr + ref.stderr))
 
 
 class TestSampler:
