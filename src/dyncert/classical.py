@@ -199,7 +199,7 @@ def energy_window(model, tau):
 #              on bound (r < 1), threshold (r = 1) and open (r > 1) orbits
 
 
-def _pendulum_flow(model, q0, p0, times):
+def _pendulum_flow(model, q0, p0, times, out):
     a = abs(model.alpha)
     sin0, cos0 = np.sin(0.5 * q0), np.cos(0.5 * q0)
     v0 = 4.0 * a * p0  # q0'/2
@@ -212,17 +212,17 @@ def _pendulum_flow(model, q0, p0, times):
     den = 1.0 - (sin0 * sn) ** 2
     sin_half = (sin0 * cn * dn + v0 * cos0 * sn) / den
     cos_half = (cos0 * dn - sin0 * v0 * sn * cn) / den
-    yield from 2.0 * np.arctan2(sin_half, cos_half)
+    np.multiply(2.0, np.arctan2(sin_half, cos_half), out=out)
 
 
-def _morse_flow(model, q0, p0, times):
+def _morse_flow(model, q0, p0, times, out):
     lam = model.lambda_morse
     y0 = np.exp(-q0)
     dy0 = -p0 / lam * y0  # y' = -q' y with q' = p/lambda
     w2 = 1.0 - (p0 / lam) ** 2 - (1.0 - np.exp(q0)) ** 2  # omega^2 = 1 - E/De
     w = np.sqrt(np.abs(w2))
     bound, still = w2 > 0.0, w == 0.0
-    for t in times:
+    for row, t in zip(out, times):
         half = pi * t * w  # omega s / 2
         # h = sin(omega s/2)/omega (sinh when open, s/2 at omega = 0) gives
         # S = sin(omega s)/omega = 2 h cos(omega s/2), D = 2 h^2, C = 1 - omega^2 D
@@ -231,44 +231,48 @@ def _morse_flow(model, q0, p0, times):
         sc = 2.0 * h * np.where(bound, np.cos(half), np.cosh(half))
         d = 2.0 * h * h
         c = 1.0 - w2 * d
-        yield -np.log(y0 * c + dy0 * sc + d)
+        np.negative(np.log(y0 * c + dy0 * sc + d), out=row)
 
 
-def _rotation_flow(model, h0, theta, times):
-    """Yield, at t = 0 and at each of ``times``, a signed distance d for
-    harmonic or Kerr states of action h0 and angle theta: with
-    y = frac(theta - omega t), q(t) = r cos(2 pi y) for r = sqrt(2 h0), and
-    d = 2 pi r (|y - 1/2| - 1/4) has its sign and equals it to first order
-    where it vanishes, so the score reads d as it reads q."""
-    scale = 2.0 * pi * np.sqrt(2.0 * h0)
+def _rotation_flow(model, h0, theta, times, out=None):
+    """Fill ``out`` (default: a new array), a row at t = 0 and at each of
+    ``times``, with a signed distance d for harmonic or Kerr states of
+    action h0 and angle theta: with y = frac(theta - omega t), q(t) =
+    r cos(2 pi y) for r = sqrt(2 h0), and d = 2 pi r (|y - 1/2| - 1/4) has
+    its sign and equals it to first order where it vanishes."""
+    out = np.empty((1 + len(times), len(h0))) if out is None else out
+    scale, whole = 2.0 * pi * np.sqrt(2.0 * h0), np.empty_like(h0)
     omega = 1.0 + model.alpha * h0 if model.alpha else 1.0  # harmonic: None
-    for t in (0.0, *times):
-        y = theta - omega * t
-        y -= np.floor(y)
-        yield scale * (np.abs(y - 0.5) - 0.25)
+    for y, t in zip(out, (0.0, *times)):
+        np.subtract(theta, omega * t, out=y)
+        y -= np.floor(y, out=whole)
+        np.abs(np.subtract(y, 0.5, out=y), out=y)
+        np.multiply(np.subtract(y, 0.25, out=y), scale, out=y)
+    return out
 
 
-def _flow(model, q0, p0, times):
-    """Yield the positions q of float arrays of well, pendulum or Morse
-    initial states at t = 0 and at each of ``times``, exactly: the well
-    reflects off its walls (L = 1), the pendulum and Morse follow the closed
-    forms above, and pendulum states at or past the separatrix raise
-    ``LibrationError``. The score reads only sgn(q), so p is not evolved."""
-    well = model.kind == models.WELL
-    if well and not np.all((q0 >= -0.5) & (q0 <= 0.5)):
+def _flow(model, q0, p0, times, out=None):
+    """Fill ``out`` (default: a new array), a row at t = 0 and at each of
+    ``times``, with the exact positions q of well, pendulum or Morse initial
+    states: the well reflects off its walls (L = 1), the pendulum and Morse
+    follow the closed forms above, and pendulum states at or past the
+    separatrix raise ``LibrationError``. p is not evolved."""
+    out = np.empty((1 + len(times), len(q0))) if out is None else out
+    out[0] = q0
+    if model.kind != models.WELL:
+        (_pendulum_flow if model.kind == models.PENDULUM
+         else _morse_flow)(model, q0, p0, times, out[1:])
+        return out
+    if not np.all((q0 >= -0.5) & (q0 <= 0.5)):
         raise DomainError("well position outside [-1/2, 1/2]")
-    yield q0
-    if well:
-        for t in times:
-            # fold onto [-1/2, 3/2) then reflect the upper half; the floor
-            # form rounds once, as np.mod(x, 2.0) does, and is much faster
-            x = q0 + p0 * t + 0.5
-            y = x - 2.0 * np.floor(0.5 * x)
-            yield np.where(y <= 1.0, y - 0.5, 1.5 - y)
-        return
-
-    yield from (_pendulum_flow if model.kind == models.PENDULUM
-                else _morse_flow)(model, q0, p0, times)
+    for y, t in zip(out[1:], times):
+        # y = x mod 2 as x - 2 floor(x/2), rounded once as by np.mod; then
+        # min(y - 1/2, 3/2 - y) is exactly y - 1/2 for y <= 1, 3/2 - y above
+        np.add(q0, p0 * t, out=y)
+        y += 0.5
+        y -= 2.0 * np.floor(0.5 * y)
+        np.minimum(y - 0.5, 1.5 - y, out=y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,35 +284,42 @@ DIRECT_BATCH = 1 << 13  # caps batch_size for direct draws: arrays stay in cache
 
 
 def _direct_sampler(model, window, rng, times):
-    """draw(n): the positions, at t = 0 and at each of ``times``, of n
-    states drawn uniformly in phase-space area inside the window."""
+    """draw(out): fill the (3, n) array ``out``, n <= DIRECT_BATCH, with the
+    positions at t = 0 and at each of ``times`` of n states drawn uniformly
+    in phase-space area inside the window, from one ``rng.random`` fill of
+    a reused buffer mapped in place: the doubles of two ``uniform`` calls."""
     e_lo, e_hi = model.energy_range()
     e_lo = min(max(window.e_min, e_lo), e_hi)
     e_hi = max(min(ENERGY_CAP if isinf(window.e_max) else window.e_max, e_hi), e_lo)
+    raw = np.empty(2 * DIRECT_BATCH)
     if model.kind == models.WELL:
         lo, hi = 2.0 * sqrt(e_lo), 2.0 * sqrt(e_hi)
 
-        def draw(n):
-            q = rng.uniform(-0.5, 0.5, n)
-            w = rng.uniform(-1.0, 1.0, n)  # sgn v and |v| from one draw
-            return _flow(model, q, np.copysign(lo, w) + (hi - lo) * w, times)
+        def draw(out):
+            q, w = rng.random(out=raw[:2 * out.shape[1]]).reshape(2, -1)
+            q -= 0.5  # uniform(-1/2, 1/2)
+            w *= 2.0
+            w -= 1.0  # uniform(-1, 1): sgn v and |v| from one draw
+            return _flow(model, q, np.copysign(lo, w) + (hi - lo) * w, times, out)
     else:
         alpha = model.alpha or 0.0  # harmonic: None
         # the edges' actions; the Kerr alpha < 0 energy range caps them at 1/|alpha|
         lo, hi = (2.0 * e / (1.0 + sqrt(max(1.0 + 2.0 * alpha * e, 0.0)))
                   for e in (e_lo, e_hi))
 
-        def draw(n):
-            return _rotation_flow(model, rng.uniform(lo, hi, n), rng.random(n),
-                                  times)
+        def draw(out):  # uniform(lo, hi), then random
+            h0, theta = rng.random(out=raw[:2 * out.shape[1]]).reshape(2, -1)
+            h0 *= hi - lo
+            h0 += lo
+            return _rotation_flow(model, h0, theta, times, out)
     if not lo < hi:
         raise EmptyWindowError(f"no phase-space area in {window} below the cap")
     return draw
 
 
 def _rejection_sampler(model, window, rng, times):
-    """``_direct_sampler``'s draw(n) for the pendulum and Morse: oversample a
-    (q, p) box covering the window, reject, and top up from the stream."""
+    """``_direct_sampler``'s draw(out) for the pendulum and Morse: oversample
+    a (q, p) box covering the window, reject, and top up from the stream."""
     if model.kind == models.PENDULUM:
         a = abs(model.alpha)
         e_hi = ENERGY_CAP if isinf(window.e_max) else window.e_max
@@ -327,7 +338,8 @@ def _rejection_sampler(model, window, rng, times):
         def energy(q, p):
             return p * p / (2.0 * lam) + 0.5 * lam * (1.0 - np.exp(q)) ** 2
 
-    def draw(n):
+    def draw(out):
+        n = out.shape[1]
         qs, ps, have, drawn, size = [], [], 0, 0, 2 * n
         while have < n:
             q = rng.uniform(q_lo, q_hi, size=size)
@@ -343,7 +355,7 @@ def _rejection_sampler(model, window, rng, times):
             size = min(2 * n, 2 * ceil((n - have) * drawn / have))
         if len(qs) > 1:  # a single draw is returned uncopied
             qs, ps = [np.concatenate(qs)], [np.concatenate(ps)]
-        return _flow(model, qs[0][:n], ps[0][:n], times)
+        return _flow(model, qs[0][:n], ps[0][:n], times, out)
     return draw
 
 
@@ -354,8 +366,9 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
     if unbounded: directly in action and angle for harmonic and Kerr and in
     position and speed for the well, by rejection from a (q, p) box for the
     pendulum and Morse. A state scores the mean of pos(q) at t = 0, tau/3 and
-    2 tau/3 on its exact trajectory. Deterministic given *seed*, a Philox key.
-    """
+    2 tau/3 on its exact trajectory: each batch's flow fills one (3, n) array
+    held by the call (concurrent calls share none), read in one pass as int8
+    half-counts 2 pos(q). Deterministic given *seed*, a Philox key."""
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0)
     check_integer("batch_size", batch_size, 1)
@@ -365,15 +378,15 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
     rejection = model.kind in (models.PENDULUM, models.MORSE)
     draw = (_rejection_sampler if rejection else _direct_sampler)(
         model, window, rng, [tau / 3.0, 2.0 * tau / 3.0])
-    step = batch_size if rejection else min(batch_size, DIRECT_BATCH)
-
-    def halves(q):  # 2 pos(q) as int8
-        if not np.isfinite(q).all():
-            raise NumericalInstabilityError("non-finite classical trajectory")
-        return (q > POS_BOUNDARY_TOL).view(np.int8) + (q >= -POS_BOUNDARY_TOL)
-
+    step = min(batch_size, n_samples, batch_size if rejection else DIRECT_BATCH)
+    buffers = [np.empty((3, step), dtype=t) for t in (float, np.int8, bool)]
     best = 0.0
     for start in range(0, n_samples, step):
-        score = sum(map(halves, draw(min(step, n_samples - start))))
-        best = max(best, int(np.max(score)) / 6.0)
+        q, halves, flags = (b[:, :min(step, n_samples - start)] for b in buffers)
+        draw(q)
+        if not np.isfinite(q, out=flags).all():
+            raise NumericalInstabilityError("non-finite classical trajectory")
+        np.greater(q, POS_BOUNDARY_TOL, out=halves.view(bool))
+        halves += np.greater_equal(q, -POS_BOUNDARY_TOL, out=flags)  # 2 pos(q)
+        best = max(best, int((halves[0] + halves[1] + halves[2]).max()) / 6.0)
     return best

@@ -370,14 +370,23 @@ def _morse_sgn(model, ns):
     return s
 
 
-def sgn_quadrature(model, n, m):
-    """Direct quadrature of <n|sgn(Q)|m> as an independent cross-check."""
-    lo, hi = position_span(model, max(n, m))
-    plus, minus = (
-        np.trapezoid(np.prod(eigenfunction_grid(model, [n, m], xs), axis=0), xs)
-        for xs in (np.linspace(0.0, hi, SGN_QUADRATURE_POINTS),
-                   np.linspace(lo, 0.0, SGN_QUADRATURE_POINTS)))
-    return plus - minus
+def sgn_quadrature(model, pairs):
+    """Direct quadrature of <n|sgn(Q)|m> for every (n, m) in ``pairs``, as
+    an independent cross-check: the trapezoid rule on 40001 points per
+    half-line of position_span(model, max(n, m)). Pairs with one span share
+    one ``eigenfunction_grid`` table per half-line, held one at a time."""
+    refs, spans = np.zeros(len(pairs)), {}
+    for k, (n, m) in enumerate(pairs):
+        spans.setdefault(position_span(model, max(n, m)), []).append((k, n, m))
+    for (lo, hi), group in spans.items():
+        ns = sorted({level for _, n, m in group for level in (n, m)})
+        for sign, xs in ((1.0, np.linspace(0.0, hi, SGN_QUADRATURE_POINTS)),
+                         (-1.0, np.linspace(lo, 0.0, SGN_QUADRATURE_POINTS))):
+            table = dict(zip(ns, eigenfunction_grid(model, ns, xs)))
+            for k, n, m in group:
+                refs[k] += sign * np.trapezoid(table[n] * table[m], xs)
+            del table  # before the next half-line's table is built
+    return refs
 
 
 _CHECK_INDEX_CAP = 300  # quadrature oracle is reliable below this index
@@ -402,9 +411,12 @@ def sgn_matrix(model, indices, energies=None, check=True):
     (empty when every level has one parity). For Morse it is the full real
     symmetric matrix.
 
-    With ``check`` enabled, a handful of entries are re-derived by direct
-    quadrature of sgn(q) psi_n psi_n'; disagreement beyond 1e-6 raises
-    NumericalInstabilityError rather than being silently accepted.
+    With ``check`` enabled, the head entries (rows 0-2, two columns each from
+    the diagonal) with no level above _CHECK_INDEX_CAP are re-derived by one
+    sgn_quadrature call, one table per span, and compared in row order;
+    disagreement beyond 1e-6 raises NumericalInstabilityError rather than
+    being silently accepted. A slice whose head levels all lie above the cap
+    (the well at tau = 0.005, levels 301-599) compares nothing.
     """
     indices = np.asarray(indices, dtype=int)
     rows, cols = sgn_positions(model, indices)
@@ -426,17 +438,16 @@ def sgn_matrix(model, indices, energies=None, check=True):
 
     if check:
         head = s[:3]
-        for i in range(len(head)):
-            for j in range(i, min(i + 2, s.shape[1])):
-                n, m = int(indices[rows[i]]), int(indices[cols[j]])
-                if max(n, m) > _CHECK_INDEX_CAP:
-                    continue
-                ref = sgn_quadrature(model, n, m)
-                if not abs(head[i, j] - ref) <= SGN_CHECK_TOL:
-                    raise NumericalInstabilityError(
-                        f"sgn matrix entry ({n},{m}) = {head[i, j]:.9g} "
-                        f"disagrees with quadrature {ref:.9g} beyond "
-                        f"{SGN_CHECK_TOL}")
+        entries = [(i, j) for i in range(len(head))
+                   for j in range(i, min(i + 2, s.shape[1]))
+                   if max(indices[rows[i]], indices[cols[j]]) <= _CHECK_INDEX_CAP]
+        pairs = [(int(indices[rows[i]]), int(indices[cols[j]])) for i, j in entries]
+        for (i, j), (n, m), ref in zip(entries, pairs, sgn_quadrature(model, pairs)):
+            if not abs(head[i, j] - ref) <= SGN_CHECK_TOL:
+                raise NumericalInstabilityError(
+                    f"sgn matrix entry ({n},{m}) = {head[i, j]:.9g} "
+                    f"disagrees with quadrature {ref:.9g} beyond "
+                    f"{SGN_CHECK_TOL}")
     return s
 
 

@@ -338,15 +338,16 @@ def recorded_oracle(monkeypatch, model, window, tau, n_samples, seed,
                     batch_size=100_000):
     """The oracle's value and, per batch, the flow it called, the states it
     drew (action and angle, or position and momentum) and the positions it
-    read at t = 0, tau/3 and 2 tau/3."""
+    read at t = 0, tau/3 and 2 tau/3. The oracle reuses its buffers from
+    batch to batch, so each batch's states and rows are copied."""
     batches = []
 
     def recording(name, flow):
-        def recorded(model, a, b, times):
-            out = list(flow(model, a, b, times))
-            batches.append((name, np.array(a, dtype=float),
-                            np.array(b, dtype=float), out))
-            return iter(out)
+        def recorded(model, a, b, times, out):
+            states = np.array(a, dtype=float), np.array(b, dtype=float)
+            flow(model, a, b, times, out)
+            batches.append((name, *states, [row.copy() for row in out]))
+            return out
         return recorded
 
     with monkeypatch.context() as mp:

@@ -1,5 +1,7 @@
 """Trapping times, energy windows, trajectories, and the sampling oracle."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from math import inf, pi, sqrt
 
 import numpy as np
@@ -12,7 +14,7 @@ from dyncert.classical import (EnergyWindow, classical_score_oracle,
                                energy_window, pos, trapping_times)
 from dyncert.errors import (DomainError, EmptyWindowError, LibrationError,
                             NumericalInstabilityError, UnsupportedTauError)
-from conftest import (oracle_states, oracle_with_reference,
+from conftest import (oracle_states, oracle_with_reference, recorded_oracle,
                       rejection_states_reference, trapping_times_quadrature,
                       yoshida_trajectory)
 
@@ -289,9 +291,9 @@ class TestClassicalOracle:
         flowed = []
         flow = classical._flow
 
-        def counting_flow(model, q0, p0, times):
+        def counting_flow(model, q0, p0, times, out):
             flowed.append(len(q0))
-            return flow(model, q0, p0, times)
+            return flow(model, q0, p0, times, out)
 
         monkeypatch.setattr(classical, "_flow", counting_flow)
         classical_score_oracle(mdl, energy_window(mdl, tau), tau, 12_500,
@@ -324,10 +326,9 @@ class TestClassicalOracle:
         (-1.0, -1.0), (-1e-12, 1e-12), (0.0, -2e-12), (2e-12, -0.0),
         (1e-12, 1.0), (-1e-12, -1.0)])
     def test_boundary_positions_match_float_pos(self, c1, c2, monkeypatch):
-        def fixed_flow(model, q0, p0, times):
-            yield q0
-            yield np.full_like(q0, c1)
-            yield np.full_like(q0, c2)
+        def fixed_flow(model, q0, p0, times, out):
+            out[:] = q0, np.full_like(q0, c1), np.full_like(q0, c2)
+            return out
 
         monkeypatch.setattr(classical, "_flow", fixed_flow)
         mdl = models.infinite_well()
@@ -338,17 +339,67 @@ class TestClassicalOracle:
     def test_non_finite_position_raises(self, monkeypatch):
         flow = classical._rotation_flow
 
-        def nan_flow(model, h0, theta, times):
-            for d in flow(model, h0, theta, times):
-                d = d.copy()
-                d[-1] = np.nan
-                yield d
+        def nan_flow(model, h0, theta, times, out):
+            flow(model, h0, theta, times, out)
+            out[:, -1] = np.nan
+            return out
 
         monkeypatch.setattr(classical, "_rotation_flow", nan_flow)
         with pytest.raises(NumericalInstabilityError):
             classical_score_oracle(models.harmonic(),
                                    energy_window(models.harmonic(), 1.0),
                                    1.0, 1000, seed=0)
+
+    @pytest.mark.parametrize("mdl,tau", [
+        (models.harmonic(), 1.0),
+        (models.kerr(0.02), 1.0),
+        (models.infinite_well(), 0.4),
+    ], ids=["harmonic", "kerr", "well"])
+    def test_first_batch_draws_match_uniform_calls(self, mdl, tau, monkeypatch):
+        # one rng.random fill per batch, mapped in place, gives the doubles
+        # of rng.uniform(lo, hi, n) then rng.random(n), or of the well's two
+        # uniform calls, on the same Philox stream
+        window = energy_window(mdl, tau)
+        _, batches = recorded_oracle(monkeypatch, mdl, window, tau, 20_000,
+                                     seed=4)
+        _, a, b, _ = batches[0]
+        n = classical.DIRECT_BATCH
+        rng = np.random.Generator(np.random.Philox(key=4))
+        e_hi = min(window.e_max, classical.ENERGY_CAP)
+        if mdl.kind == models.WELL:
+            lo, hi = 2.0 * sqrt(window.e_min), 2.0 * sqrt(e_hi)
+            q = rng.uniform(-0.5, 0.5, n)
+            w = rng.uniform(-1.0, 1.0, n)
+            ref = q, np.copysign(lo, w) + (hi - lo) * w
+        else:
+            alpha = mdl.alpha or 0.0
+            lo, hi = (2.0 * e / (1.0 + sqrt(1.0 + 2.0 * alpha * e))
+                      for e in (window.e_min, e_hi))
+            ref = rng.uniform(lo, hi, n), rng.random(n)
+        assert len(a) == len(b) == n
+        assert np.array_equal(a, ref[0]) and np.array_equal(b, ref[1])
+
+    def test_concurrent_calls_match_serial(self, monkeypatch):
+        # each call holds its own batch buffers: in two threads, every
+        # batch's flow waits until the other call's batch has flowed too,
+        # and each call still gets the values it gets alone
+        calls = [(models.harmonic(), EnergyWindow(0.1, 5.0), 0.3),
+                 (models.infinite_well(), EnergyWindow(0.5, 30.0), 0.4)]
+
+        def run(call):
+            return [classical_score_oracle(*call, 2, seed, batch_size=1)
+                    for seed in range(100)]
+
+        serial = list(map(run, calls))
+        both_flowed = threading.Barrier(2, timeout=30)
+        for name in ("_rotation_flow", "_flow"):
+            def flow_then_wait(*args, flow=getattr(classical, name)):
+                out = flow(*args)
+                both_flowed.wait()
+                return out
+            monkeypatch.setattr(classical, name, flow_then_wait)
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(run, calls)) == serial
 
     def test_window_with_no_area_raises(self):
         with pytest.raises(EmptyWindowError, match="no phase-space area"):

@@ -295,9 +295,78 @@ class TestSgn:
 
     def test_builtin_check_fails_on_nan_reference(self, monkeypatch):
         monkeypatch.setattr(spectra, "sgn_quadrature",
-                            lambda model, n, m: float("nan"))
+                            lambda model, pairs: np.full(len(pairs), np.nan))
         with pytest.raises(NumericalInstabilityError):
             spectra.sgn_matrix(models.harmonic(), np.arange(4), check=True)
+
+
+def head_pairs(model, indices):
+    """The (n, m) level pairs of the entries the built-in check compares."""
+    rows, cols = spectra.sgn_positions(model, indices)
+    return [(int(indices[rows[i]]), int(indices[cols[j]]))
+            for i in range(min(3, len(rows)))
+            for j in range(i, min(i + 2, len(cols)))]
+
+
+def one_pair_quadrature(model, n, m):
+    """<n|sgn(Q)|m> by the trapezoid rule on the span of level max(n, m),
+    one two-level table per half-line."""
+    lo, hi = spectra.position_span(model, max(n, m))
+    plus, minus = (
+        np.trapezoid(np.prod(spectra.eigenfunction_grid(model, [n, m], xs),
+                             axis=0), xs)
+        for xs in (np.linspace(0.0, hi, spectra.SGN_QUADRATURE_POINTS),
+                   np.linspace(lo, 0.0, spectra.SGN_QUADRATURE_POINTS)))
+    return plus - minus
+
+
+class TestSgnQuadrature:
+    @pytest.mark.parametrize("mdl,indices", [
+        (models.harmonic(), np.arange(7)),
+        (models.kerr(0.02), spectra.levels(
+            models.kerr(0.02), energy_window(models.kerr(0.02), 1.0))[0]),
+        (models.infinite_well(), spectra.levels(
+            models.infinite_well(), energy_window(models.infinite_well(), 0.1))[0]),
+        (models.pendulum(-0.02), np.arange(8)),
+        (models.morse(8.0), np.arange(8)),
+    ], ids=["harmonic-n6", "kerr(0.02)", "well@0.1", "pendulum(-0.02)", "morse(8)"])
+    def test_pairs_match_one_pair_calls(self, mdl, indices):
+        # a table shared by the pairs of one span changes no reference bit
+        pairs = head_pairs(mdl, indices)
+        got = spectra.sgn_quadrature(mdl, pairs)
+        assert got.shape == (len(pairs),)
+        assert np.array_equal(
+            got, [spectra.sgn_quadrature(mdl, [p])[0] for p in pairs])
+        assert np.array_equal(
+            got, [one_pair_quadrature(mdl, n, m) for n, m in pairs])
+
+    def test_nan_in_last_pair_of_a_span_group_is_named(self, monkeypatch):
+        # every well pair shares the span [-1/2, 1/2]; the top column level
+        # enters the last pair alone, and a NaN in its row fails that entry
+        mdl = models.infinite_well()
+        indices = spectra.levels(mdl, energy_window(mdl, 0.1))[0]
+        pairs = head_pairs(mdl, indices)
+        assert len({spectra.position_span(mdl, max(p)) for p in pairs}) == 1
+        n, m = pairs[-1]
+        assert all(m not in p for p in pairs[:-1])
+        grid = spectra.eigenfunction_grid
+
+        def nan_row(model, ns, qs):
+            out = grid(model, ns, qs)
+            out[np.asarray(ns) == m] = np.nan
+            return out
+
+        monkeypatch.setattr(spectra, "eigenfunction_grid", nan_row)
+        with pytest.raises(NumericalInstabilityError,
+                           match=rf"entry \({n},{m}\) = .* quadrature nan"):
+            spectra.sgn_matrix(mdl, indices, check=True)
+
+    @pytest.mark.xfail(strict=True, raises=NumericalInstabilityError,
+                       reason="one uniform step over the span of a "
+                       "near-threshold Morse level under-resolves the ground "
+                       "state: entry (0, 20) misses by 2.5e-6")
+    def test_near_threshold_morse_pair_passes_the_check(self):
+        spectra.sgn_matrix(models.morse(20.6), np.array([0, 20]), check=True)
 
 
 class TestPositionSpan:
