@@ -285,8 +285,7 @@ def cmd_wigner(args):
     densities = [phasespace.marginal_density(state, frac, args.tau, marg_axis)
                  for frac in (0.0, 1.0 / 3.0, 2.0 / 3.0)]
     if args.angular:
-        grid = phasespace.wigner_angular(state, marg_axis,
-                                         phasespace.default_m_range(state))
+        grid = phasespace.wigner_angular(state, marg_axis)
     else:
         grid = phasespace.wigner_cartesian(state, marg_axis, p_axis)
     out_dir = Path(args.output or ".")
@@ -302,8 +301,8 @@ def cmd_wigner(args):
     return 0
 
 
-def cmd_make_figures(args):
-    """Regenerate the curve/grid data behind the standard figures."""
+def cmd_make_figures(args, parser, commands):
+    """Regenerate the data behind the standard figures, one job at a time."""
     root = Path(args.output or "figures")
     root.mkdir(parents=True, exist_ok=True)
     jobs = [
@@ -331,7 +330,7 @@ def cmd_make_figures(args):
         out = root / name
         out.mkdir(parents=True, exist_ok=True)
         target = str(out / filename) if filename else str(out)
-        code = main(argv + ["--output", target])
+        code = _run(parser, commands, argv + ["--output", target])
         if code != 0:
             return code
     return 0
@@ -389,13 +388,14 @@ def build_parser():
     p.add_argument("--angular", action="store_true")
     p.add_argument("--grid-points", type=int, default=201)
 
-    command("make-figures", "regenerate all figure data", cmd_make_figures,
+    command("make-figures", "regenerate all figure data",
+            lambda args: cmd_make_figures(args, parser, subs.choices),
             model=False)
     return parser, subs.choices
 
 
-def main(argv=None):
-    parser, commands = build_parser()
+def _run(parser, commands, argv):
+    """Parse ``argv`` and run its command; the exit code."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -409,6 +409,10 @@ def main(argv=None):
     except DyncertError as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_NUMERICAL
+
+
+def main(argv=None):
+    return _run(*build_parser(), argv)
 
 
 if __name__ == "__main__":

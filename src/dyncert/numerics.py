@@ -131,48 +131,50 @@ class MathieuSolution:
     char_value: float
     coeffs: np.ndarray
 
-    def _strides(self):
-        base = 0 if self.parity == "even" else 2
-        return base + 2 * np.arange(len(self.coeffs))
-
     def value(self, u):
         """f(u); a scalar for scalar u, else an array shaped like u."""
-        u = np.asarray(u, dtype=float)
-        s = self._strides()
-        phase = np.outer(u, s)
-        basis = np.cos(phase) if self.parity == "even" else np.sin(phase)
-        return _shaped(_compensated_dot(basis, self.coeffs), u.shape)
+        return mathieu_values([self], u)[0][()]
 
     def derivative(self, u):
         """f'(u); a scalar for scalar u, else an array shaped like u."""
-        u = np.asarray(u, dtype=float)
-        s = self._strides()
-        if self.parity == "even":
-            basis = -np.sin(np.outer(u, s)) * s
-        else:
-            basis = np.cos(np.outer(u, s)) * s
-        return _shaped(_compensated_dot(basis, self.coeffs), u.shape)
+        return mathieu_values([self], u, derivative=True)[0][()]
 
 
-def _shaped(flat, shape):
-    return float(flat[0]) if shape == () else flat.reshape(shape)
+_BLOCK_ELEMENTS = 1 << 18  # doubles per chunk: its basis and 4 accumulators
 
 
-def _compensated_dot(basis, coeffs):
-    """Row-wise dot products with Kahan-compensated accumulation.
-
-    Keeps large-|q| coefficient cancellations under control without
-    resorting to arbitrary precision.
-    """
-    total = np.zeros(basis.shape[0])
-    comp = np.zeros(basis.shape[0])
-    for j in range(len(coeffs)):
-        term = basis[:, j] * coeffs[j]
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def mathieu_values(sols, u, derivative=False):
+    """f(u), or f'(u), of every solution in ``sols`` at every point of
+    ``u``, shaped ``(len(sols),) + u.shape``. Solutions of one parity and
+    length share a (coefficients x points) basis, a chunk of points at a
+    time, and one Kahan-compensated sum over the coefficients, which keeps
+    large-|q| cancellations under control; each value sees the operations
+    of its solution alone, in the same order."""
+    flat = np.ravel(u).astype(float)
+    out = np.empty((len(sols), flat.size))
+    groups = {}
+    for i, sol in enumerate(sols):
+        groups.setdefault((sol.parity, len(sol.coeffs)), []).append(i)
+    for (parity, size), rows in groups.items():
+        coeffs = np.array([sols[i].coeffs for i in rows])
+        s = (0 if parity == "even" else 2) + 2 * np.arange(size)
+        step = max(1, _BLOCK_ELEMENTS // (size + 4 * len(rows)))
+        for lo in range(0, flat.size, step):
+            phase = np.outer(s, flat[lo:lo + step])
+            cosine = (parity == "even") != derivative
+            basis = np.cos(phase) if cosine else np.sin(phase)
+            if derivative:
+                basis = (-basis if parity == "even" else basis) * s[:, None]
+            total, comp, y, t = np.zeros((4, len(rows), phase.shape[1]))
+            for j in range(size):
+                np.multiply(coeffs[:, j, None], basis[j], out=y)
+                y -= comp
+                np.add(total, y, out=t)
+                np.subtract(t, total, out=comp)
+                comp -= y
+                total, t = t, total
+            out[rows, lo:lo + step] = total
+    return out.reshape((len(sols),) + np.shape(u))
 
 
 def _mathieu_tridiag(q_param, base, size):

@@ -19,7 +19,7 @@ from . import models, spectra
 from .errors import DomainError
 
 NORMALIZATION_TOL = 1e-3
-WIGNER_Y_POINTS = 2001  # quadrature nodes of the Cartesian Wigner integral
+WIGNER_Y_POINTS = 1001  # nodes in y >= 0 of the Cartesian Wigner integral
 FOURIER_SAMPLES = 2048  # angle samples for a pendulum state's Fourier modes
 
 
@@ -101,21 +101,23 @@ def default_axes(state, n_q=201, n_p=201):
 
 
 def wigner_cartesian(state, q_axis, p_axis):
-    """W(q, p) = (1/pi) int dy psi*(q+y) psi(q-y) exp(2ipy), hbar = 1."""
+    """W(q, p) = (1/pi) int dy psi*(q+y) psi(q-y) exp(2ipy), hbar = 1. The
+    integrand at -y is the conjugate of the one at y, so the trapezoid rule
+    runs over y >= 0 (y = 0 counted once) and W is two real products."""
     model = state.slice.model
     if model.kind == models.PENDULUM:
         raise DomainError("pendulum states require the angular Wigner kernel")
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     lo, hi = _span(state)
-    ys = np.linspace(-0.5 * (hi - lo), 0.5 * (hi - lo), WIGNER_Y_POINTS)
+    ys = np.linspace(0.0, 0.5 * (hi - lo), WIGNER_Y_POINTS)
     plus = wavefunction(state, q_axis[:, None] + ys[None, :])
-    minus = wavefunction(state, q_axis[:, None] - ys[None, :])
-    corr = np.conj(plus) * minus
-    weights = np.full(WIGNER_Y_POINTS, ys[1] - ys[0])
-    weights[0] = weights[-1] = 0.5 * (ys[1] - ys[0])
-    kernel = weights[:, None] * np.exp(2j * np.outer(ys, p_axis))
-    values = (corr @ kernel).real / pi
+    corr = np.conj(plus) * wavefunction(state, q_axis[:, None] - ys[None, :])
+    weights = np.full((WIGNER_Y_POINTS, 1), 2.0 * (ys[1] - ys[0]))
+    weights[0] = weights[-1] = ys[1] - ys[0]
+    phase = 2.0 * np.outer(ys, p_axis)
+    values = (corr.real @ (weights * np.cos(phase))
+              - corr.imag @ (weights * np.sin(phase))) / pi
     return WignerGrid(q_axis, p_axis, values)
 
 
@@ -130,49 +132,51 @@ def _fourier_modes(state):
     return ls[keep], coeffs[keep]
 
 
+def _m_range(ls):
+    return int(ls.min()) - 1, int(ls.max()) + 1
+
+
 def default_m_range(state):
     """Integer momentum interval carrying all but ~1e-13 of the weight."""
-    ls, _ = _fourier_modes(state)
-    lo, hi = int(ls.min()), int(ls.max())
-    return lo - 1, hi + 1
+    return _m_range(_fourier_modes(state)[0])
 
 
-def wigner_angular(state, phi_axis, m_range):
+def wigner_angular(state, phi_axis, m_range=None):
     """Discrete-m angular Wigner function of a pendulum state.
 
     W(phi, m) = (1/2pi) int_{-pi}^{pi} dtheta e^{-im theta}
                 psi(phi + theta/2) psi*(phi - theta/2),
     evaluated exactly through the state's integer Fourier modes. Summing
     over all integers m returns |psi(phi)|^2 and integrating over phi
-    returns the weight of angular momentum m, both exactly.
+    returns the weight of angular momentum m, both exactly. ``m_range``
+    defaults to :func:`default_m_range`, taken from the same modes.
     """
     model = state.slice.model
     if model.kind != models.PENDULUM:
         raise DomainError("angular Wigner kernel applies to pendulum states")
     phi_axis = np.asarray(phi_axis, dtype=float)
-    m_lo, m_hi = m_range
-    ms = np.arange(int(m_lo), int(m_hi) + 1)
     ls, al = _fourier_modes(state)
+    m_lo, m_hi = _m_range(ls) if m_range is None else m_range
+    ms = np.arange(int(m_lo), int(m_hi) + 1)
     values = _angular_kernel(ls, al, phi_axis, ms)
     return WignerGrid(phi_axis, ms.astype(float), values, p_discrete=True)
 
 
 def _angular_kernel(ls, al, phi_axis, ms):
     """sum over mode pairs (l1, l2) of Re(a_l1 conj(a_l2) K(l1 + l2 - 2m)
-    e^{i(l1 - l2)phi}) / 2pi, one pass per difference d = l1 - l2, with
-    K(s) = 2pi at s = 0 and 4 sin(s pi/2)/s elsewhere."""
-    values = np.zeros((phi_axis.size, ms.size))
-    i, j = np.indices((ls.size, ls.size)).reshape(2, -1)
-    diffs = ls[i] - ls[j]
-    for d in np.unique(diffs):
-        p1, p2 = i[diffs == d], j[diffs == d]
-        s = (ls[p1] + ls[p2])[:, None] - 2 * ms
-        k = np.where(s == 0, 2.0 * pi,
-                     4.0 * np.sin(np.where(s == 0, 1, s) * pi / 2.0)
-                     / np.where(s == 0, 1, s))
-        coeff = (al[p1] * np.conj(al[p2])) @ k / (2.0 * pi)
-        values += np.real(np.exp(1j * d * phi_axis)[:, None] * coeff)
-    return values
+    e^{i(l1 - l2)phi}) / 2pi, with K(s) = 2pi at s = 0 and 4 sin(s pi/2)/s
+    elsewhere. Each pair is its own cell (d, s) = (l1 - l2, l1 + l2) of one
+    table, which one product with K(s - 2m) and one with e^{i d phi} finish."""
+    d_min, s_min = int(ls.min()) - int(ls.max()), 2 * int(ls.min())
+    table = np.zeros((1 - 2 * d_min, 1 - 2 * d_min), dtype=complex)
+    table[ls[:, None] - ls - d_min, ls[:, None] + ls - s_min] = (
+        al[:, None] * np.conj(al))
+    s = np.arange(s_min, s_min + len(table))[:, None] - 2 * ms
+    k = np.where(s == 0, 2.0 * pi,
+                 4.0 * np.sin(np.where(s == 0, 1, s) * pi / 2.0)
+                 / np.where(s == 0, 1, s))
+    phases = np.exp(1j * np.outer(phi_axis, np.arange(d_min, 1 - d_min)))
+    return np.real(phases @ (table @ k)) / (2.0 * pi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import models
 from .errors import (DomainError, EmptySliceError, NumericalInstabilityError,
                      UnboundedSpectrumError)
-from .numerics import laguerre, mathieu_eigensystem
+from .numerics import laguerre, mathieu_eigensystem, mathieu_values
 
 SGN_CHECK_TOL = 1e-6
 SGN_QUADRATURE_POINTS = 40001  # per half-line, in sgn_quadrature
@@ -70,31 +70,38 @@ _SEPARATRIX_MARGIN = 4
 
 
 def _pendulum_solutions(model, n_levels):
-    """Mathieu solutions of pendulum levels 0, 1, ..., at least n_levels.
+    """(solutions, ends) of pendulum levels 0, 1, ..., at least n_levels:
+    the Mathieu solutions and, per level n, its Wronskian end values
+    (ce_n(0), ce_n(pi/2)) for even n or (se'(0), se'(pi/2)) for odd n.
 
     The first solve for an alpha covers every level below the separatrix
     E = 1/(8|alpha|), semiclassically ceil(1/(pi |alpha|)) levels, plus a
     margin. A request for more doubles the count and solves again but keeps
     the levels already held, so each level always comes from the same solve,
-    whatever was asked before.
+    whatever was asked before. A solve evaluates its new levels' ends at once.
     """
-    alpha = model.alpha
+    alpha, at = model.alpha, [0.0, 0.5 * pi]
     with _MATHIEU_LOCK:
-        sols = _MATHIEU_CACHE.get(alpha, ())
+        sols, ends = entry = _MATHIEU_CACHE.get(alpha, ((), np.empty((0, 2))))
         while len(sols) < n_levels:
             count = (2 * len(sols) if sols
                      else ceil(1.0 / (pi * abs(alpha))) + _SEPARATRIX_MARGIN)
-            sols += tuple(mathieu_eigensystem(
+            new = tuple(mathieu_eigensystem(
                 models.pendulum_q_parameter(model), count)[len(sols):])
-        _MATHIEU_CACHE[alpha] = sols
-    return sols
+            new_ends, first = np.empty((len(new), 2)), len(sols) % 2
+            new_ends[first::2] = mathieu_values(new[first::2], at)
+            new_ends[1 - first::2] = mathieu_values(new[1 - first::2], at,
+                                                    derivative=True)
+            sols, ends = entry = sols + new, np.concatenate((ends, new_ends))
+        _MATHIEU_CACHE[alpha] = entry
+    return entry
 
 
 def pendulum_energy(model, n):
     """E_n = |alpha| * (Mathieu characteristic value of level n); n may be
     an array of levels."""
     n = np.asarray(n, dtype=int)
-    sols = _pendulum_solutions(model, int(n.max(initial=0)) + 1)
+    sols = _pendulum_solutions(model, int(n.max(initial=0)) + 1)[0]
     chars = np.array([s.char_value for s in sols])
     return abs(model.alpha) * chars[n]
 
@@ -218,9 +225,9 @@ def eigenfunction_grid(model, ns, qs):
                                  - sqrt((k - 1) / k) * psi_prev), psi
             rows[flat == k] = psi
     elif model.kind == models.PENDULUM:
-        sols = _pendulum_solutions(model, int(flat.max(initial=0)) + 1)
-        for i, n in enumerate(flat):
-            rows[i] = sols[n].value(0.5 * qs) / sqrt(pi)
+        sols = _pendulum_solutions(model, int(flat.max(initial=0)) + 1)[0]
+        rows[:] = mathieu_values([sols[n] for n in flat], 0.5 * qs)
+        rows /= sqrt(pi)
     elif model.kind == models.MORSE:
         for i, n in enumerate(flat):
             rows[i] = _morse_value(model.lambda_morse, n, qs)
@@ -327,10 +334,8 @@ def _pendulum_block(model, ns, es, even, odd):
             f"{float(es[i + 1])!r}) are not strictly increasing: they lie "
             f"past the separatrix E = {model.energy_range()[1]!r}, where "
             "rotational pairs are degenerate to round-off; use fewer levels")
-    sols = _pendulum_solutions(model, int(ns.max()) + 1)
-    ends = np.array([0.0, 0.5 * pi])
-    ce = np.array([sols[n].value(ends) for n in ns[even]])
-    se_d = np.array([sols[m].derivative(ends) for m in ns[odd]])
+    ends = _pendulum_solutions(model, int(ns.max()) + 1)[1]
+    ce, se_d = ends[ns[even]], ends[ns[odd]]
     w = np.outer(ce[:, 1], se_d[:, 1]) - np.outer(ce[:, 0], se_d[:, 0])
     return 4.0 * abs(model.alpha) * w / (pi * (es[even, None] - es[None, odd]))
 

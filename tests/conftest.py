@@ -1,10 +1,11 @@
 """Shared fixtures and independent oracles: overlap and trapping-time
 quadratures, a serial golden-section search for the lockstep tau search,
-a fine-step trajectory integrator, the position CDF of a
-state on a grid, and per-round reference reductions: Monte Carlo rounds
-sampled to a position by inverse CDF, and oracle positions, both scored
-by pos(). The classical oracle's direct samplers are checked against a
-(q, p) box rejection and the float (q, p) rotation."""
+a fine-step trajectory integrator, the position CDF of a state on a grid,
+one Mathieu solution at a time from its own basis and the pendulum sgn
+block from those values, and per-round reference reductions: Monte Carlo
+rounds sampled to a position by inverse CDF, and oracle positions, both
+scored by pos(). The classical oracle's direct samplers are checked
+against a (q, p) box rejection and the float (q, p) rotation."""
 
 from math import inf, isinf, pi, sqrt
 
@@ -71,6 +72,45 @@ def sgn_overlap_oracle(model, n, m, n_points=300001):
         qs = grid(-15.0, 15.0, n_points)
     a, b = spectra.eigenfunction_grid(model, [n, m], qs)
     return float(np.trapezoid(np.sign(qs) * a * b, qs))
+
+
+def mathieu_reference(sol, u, derivative=False):
+    """One Mathieu solution, or its derivative, at the points ``u`` from its
+    own (points x coefficients) basis and a Kahan loop over its
+    coefficients: the per-level evaluation that batched tables must match
+    bit for bit."""
+    u = np.asarray(u, dtype=float)
+    s = (0 if sol.parity == "even" else 2) + 2 * np.arange(len(sol.coeffs))
+    phase = np.outer(u, s)
+    if not derivative:
+        basis = np.cos(phase) if sol.parity == "even" else np.sin(phase)
+    elif sol.parity == "even":
+        basis = -np.sin(phase) * s
+    else:
+        basis = np.cos(phase) * s
+    total = np.zeros(basis.shape[0])
+    comp = np.zeros(basis.shape[0])
+    for j in range(len(sol.coeffs)):
+        y = basis[:, j] * sol.coeffs[j] - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total.reshape(u.shape)
+
+
+def pendulum_sgn_reference(model, indices):
+    """The pendulum's even x odd sgn block from per-level Wronskians
+    4|alpha| W(ce_n, se_m) / (pi (E_n - E_m)) between u = 0 and pi/2."""
+    indices = np.asarray(indices)
+    es = spectra.pendulum_energy(model, indices)
+    sols = spectra._pendulum_solutions(model, int(indices.max()) + 1)[0]
+    ends = np.array([0.0, 0.5 * pi])
+    even, odd = spectra.sgn_positions(model, indices)
+    ce = np.array([mathieu_reference(sols[n], ends) for n in indices[even]])
+    se_d = np.array([mathieu_reference(sols[m], ends, derivative=True)
+                     for m in indices[odd]])
+    w = np.outer(ce[:, 1], se_d[:, 1]) - np.outer(ce[:, 0], se_d[:, 0])
+    return 4.0 * abs(model.alpha) * w / (pi * (es[even, None] - es[None, odd]))
 
 
 # ---------------------------------------------------------------------------

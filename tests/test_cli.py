@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from dyncert import cli
 from dyncert.cli import main
 
 
@@ -398,6 +399,34 @@ class TestMakeFigures:
                 cells += [c for name, c in zip(header, row) if name != "error"]
             for cell in cells:
                 float(cell)
+
+    def test_one_parser_and_a_config_that_stays_its_own(self, figures,
+                                                        monkeypatch, tmp_path):
+        # every job is parsed by the one parser; a make-figures config sets
+        # a default of its own subparser only, and the bytes do not change
+        built = []
+
+        def counted():
+            built.append(build())
+            return built[-1]
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cfg, tree = tmp_path / "figures.cfg", tmp_path / "tree"
+        cfg.write_text(f"output = {tree}\n")
+        assert main(["make-figures", "--config", str(cfg)]) == 0
+        assert len(built) == 1
+        _, commands = built[0]
+        assert commands["make-figures"].get_default("output") == str(tree)
+        for name in ("score", "bounds", "wigner"):
+            assert commands[name].get_default("output") is None
+        _, root = figures
+        files = sorted(p.relative_to(root) for p in root.rglob("*")
+                       if p.is_file())
+        assert files == sorted(p.relative_to(tree) for p in tree.rglob("*")
+                               if p.is_file())
+        for rel in files:
+            assert (tree / rel).read_bytes() == (root / rel).read_bytes()
 
     def test_takes_no_model_flags(self, capsys):
         code, _, _ = run(capsys, "make-figures", "--model", "kerr")

@@ -5,8 +5,54 @@ import json
 import numpy as np
 import pytest
 
-from dyncert import models, phasespace, protocol
+from dyncert import cli, models, phasespace, protocol, spectra
+from dyncert.classical import energy_window
 from dyncert.errors import DomainError
+
+
+def full_line_wigner(state, q_axis, p_axis, n_y=2001):
+    """W(q, p) by the trapezoid rule over y in [-L, L], L half the
+    state's span, with one complex kernel, in chunks of p."""
+    lo, hi = spectra.position_span(state.slice.model, max(state.slice.indices))
+    ys = np.linspace(-0.5 * (hi - lo), 0.5 * (hi - lo), n_y)
+    plus = phasespace.wavefunction(state, q_axis[:, None] + ys[None, :])
+    minus = phasespace.wavefunction(state, q_axis[:, None] - ys[None, :])
+    corr = np.conj(plus) * minus
+    weights = np.full(n_y, ys[1] - ys[0])
+    weights[0] = weights[-1] = 0.5 * (ys[1] - ys[0])
+    return np.concatenate([
+        (corr @ (weights[:, None] * np.exp(2j * np.outer(ys, p)))).real / np.pi
+        for p in np.array_split(p_axis, max(1, len(p_axis) // 256))], axis=1)
+
+
+def per_difference_kernel(ls, al, phi_axis, ms):
+    """The angular kernel as a double sum over mode pairs, one difference
+    l1 - l2 at a time."""
+    values = np.zeros((phi_axis.size, ms.size))
+    i, j = np.indices((ls.size, ls.size)).reshape(2, -1)
+    diffs = ls[i] - ls[j]
+    for d in sorted(set(diffs.tolist())):
+        p1, p2 = i[diffs == d], j[diffs == d]
+        s = (ls[p1] + ls[p2])[:, None] - 2 * ms
+        safe = np.where(s == 0, 1, s)
+        k = np.where(s == 0, 2.0 * np.pi,
+                     4.0 * np.sin(safe * np.pi / 2.0) / safe)
+        coeff = (al[p1] * np.conj(al[p2])) @ k / (2.0 * np.pi)
+        values += np.real(np.exp(1j * d * phi_axis)[:, None] * coeff)
+    return values
+
+
+def cartesian_state(name):
+    """The harmonic psi6 state, or the window-optimal Kerr or well state."""
+    if name == "harmonic-psi6":
+        slc = protocol.truncated_slice(models.harmonic(), 6, check=False)
+        return protocol.reference_state("psi6", slc)
+    if name == "kerr":
+        slc = protocol.truncated_slice(models.kerr(-0.02), 6, check=False)
+        return protocol.max_score(slc, 1.0).state
+    well = models.infinite_well()
+    slc = spectra.spectrum_slice(well, energy_window(well, 0.4), check=False)
+    return protocol.max_score(slc, 0.4).state
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +105,13 @@ class TestCartesian:
         grid = phasespace.wigner_cartesian(e3, qa, pa)
         assert np.max(np.abs(grid.values - grid.values[::-1, :])) < 1e-10
 
+    @pytest.mark.parametrize("name", ["harmonic-psi6", "kerr", "well"])
+    def test_half_line_matches_full_line(self, name):
+        state = cartesian_state(name)
+        qa, pa = phasespace.default_axes(state, n_q=61, n_p=121)
+        got = phasespace.wigner_cartesian(state, qa, pa).values
+        assert np.max(np.abs(got - full_line_wigner(state, qa, pa))) <= 1e-12
+
     def test_rejects_pendulum(self, pendulum_state):
         with pytest.raises(DomainError):
             phasespace.wigner_cartesian(pendulum_state,
@@ -93,6 +146,42 @@ class TestAngular:
         # all weight on m = 3
         weights = np.trapezoid(vals, phis, axis=0)
         assert abs(weights[ms.tolist().index(3)] - 2 * np.pi) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["optimal", "psi6"])
+    def test_one_pass_kernel_matches_per_difference_sum(self, pendulum_state,
+                                                        kind):
+        state = pendulum_state
+        if kind == "psi6":
+            state = protocol.reference_state("psi6", state.slice)
+        ls, al = phasespace._fourier_modes(state)
+        m_lo, m_hi = phasespace.default_m_range(state)
+        ms = np.arange(m_lo - 2, m_hi + 3)
+        phis = np.linspace(-np.pi, np.pi, 97)
+        got = phasespace._angular_kernel(ls, al, phis, ms)
+        ref = per_difference_kernel(ls, al, phis, ms)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_default_range_matches_default_m_range(self, pendulum_state):
+        phis = np.linspace(-np.pi, np.pi, 61)
+        m_range = phasespace.default_m_range(pendulum_state)
+        got = phasespace.wigner_angular(pendulum_state, phis)
+        ref = phasespace.wigner_angular(pendulum_state, phis, m_range)
+        assert got.p_axis[[0, -1]].tolist() == list(m_range)
+        assert np.array_equal(got.values, ref.values)
+
+    def test_cli_run_computes_the_modes_once(self, monkeypatch, tmp_path):
+        calls = []
+        modes = phasespace._fourier_modes
+
+        def counted(state):
+            calls.append(state)
+            return modes(state)
+
+        monkeypatch.setattr(phasespace, "_fourier_modes", counted)
+        code = cli.main(["wigner", "--model", "pendulum", "--alpha", "-0.02",
+                         "--state", "psi6", "--tau", "1", "--angular",
+                         "--grid-points", "61", "--output", str(tmp_path)])
+        assert code == 0 and len(calls) == 1
 
     def test_parity_symmetric_eigenstate(self):
         slc = protocol.truncated_slice(models.pendulum(-0.02), 6, check=False)

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import pi, sqrt
@@ -18,7 +19,8 @@ from dyncert import models, protocol, spectra
 from dyncert.classical import EnergyWindow, energy_window
 from dyncert.errors import (DomainError, EmptySliceError,
                             NumericalInstabilityError)
-from conftest import full_sgn, sgn_overlap_oracle
+from conftest import (full_sgn, mathieu_reference, pendulum_sgn_reference,
+                      sgn_overlap_oracle)
 
 
 class TestEnergies:
@@ -508,30 +510,71 @@ def counted_mathieu(monkeypatch):
 class TestPendulumMathieu:
     def test_grid_matches_pointwise_value(self):
         mdl = models.pendulum(-0.02)
-        sol = spectra._pendulum_solutions(mdl, 6)[5]
+        sol = spectra._pendulum_solutions(mdl, 6)[0][5]
         qs = np.linspace(-np.pi, np.pi, 2048)
-        ref = np.array([sol.value(0.5 * phi) for phi in qs]) / sqrt(pi)
+        ref = mathieu_reference(sol, 0.5 * qs) / sqrt(pi)
         got = spectra.eigenfunction_grid(mdl, 5, qs)
         assert got.shape == qs.shape
         assert np.array_equal(got, ref)
+        assert np.array_equal(sol.value(0.5 * qs),
+                              mathieu_reference(sol, 0.5 * qs))
         point = spectra.eigenfunction_grid(mdl, 5, np.array(0.3))
         assert point.shape == ()
-        assert point == sol.value(0.15) / sqrt(pi)
+        assert point == mathieu_reference(sol, 0.15) / sqrt(pi)
+        assert sol.value(0.15) == mathieu_reference(sol, 0.15)
+        assert sol.derivative(0.15) == mathieu_reference(sol, 0.15, True)
 
     def test_sgn_matches_pointwise_wronskian(self):
         mdl = models.pendulum(-0.05)
         idx = np.arange(9)
-        es = spectra.pendulum_energy(mdl, idx)
-        sols = spectra._pendulum_solutions(mdl, len(idx))
-        ref = np.zeros((len(idx), len(idx)))
-        for n in idx[::2]:
-            for m in idx[1::2]:
-                w = (sols[n].value(0.5 * pi) * sols[m].derivative(0.5 * pi)
-                     - sols[n].value(0.0) * sols[m].derivative(0.0))
-                ref[n, m] = ref[m, n] = (4.0 * abs(mdl.alpha) * w
-                                         / (pi * (es[n] - es[m])))
-        got = full_sgn(mdl, idx, energies=es)
+        ref = pendulum_sgn_reference(mdl, idx)
+        got = spectra.sgn_matrix(mdl, idx, check=False)
         assert np.array_equal(got, ref)
+
+    def test_unsorted_repeated_levels_match_reference(self):
+        mdl = models.pendulum(-0.02)
+        ns = np.array([[5, 0, 3], [3, 6, 1]])
+        qs = np.linspace(-np.pi, np.pi, 154).reshape(2, 77)
+        sols = spectra._pendulum_solutions(mdl, 7)[0]
+        got = spectra.eigenfunction_grid(mdl, ns, qs)
+        assert got.shape == ns.shape + qs.shape
+        for n, row in zip(ns.ravel(), got.reshape(ns.size, *qs.shape)):
+            assert np.array_equal(
+                row, mathieu_reference(sols[n], 0.5 * qs) / sqrt(pi))
+
+    def test_levels_across_a_doubling_match_reference(self, counted_mathieu):
+        # 11 levels come from the first solve, 11..19 from a doubled one
+        # with longer coefficient vectors; the two are never padded together
+        mdl = models.pendulum(-0.05)
+        qs = np.linspace(-np.pi, np.pi, 1001)
+        spectra.eigenfunction_grid(mdl, np.arange(11), qs)
+        ns = np.array([19, 0, 12, 10, 11, 1, 17, 2])
+        got = spectra.eigenfunction_grid(mdl, ns, qs)
+        sols = spectra._pendulum_solutions(mdl, 20)[0]
+        assert len(counted_mathieu) == 2
+        assert len({len(sols[n].coeffs) for n in ns}) == 2
+        for n, row in zip(ns, got):
+            assert np.array_equal(
+                row, mathieu_reference(sols[n], 0.5 * qs) / sqrt(pi))
+        # levels 17 and 18 are degenerate past the separatrix
+        idx = np.arange(3, 17)
+        assert np.array_equal(spectra.sgn_matrix(mdl, idx, check=False),
+                              pendulum_sgn_reference(mdl, idx))
+
+    def test_checked_table_stays_inside_one_basis(self):
+        # 40 levels at 40001 points: no more than one level's
+        # (points x coefficients) basis on top of the table itself
+        mdl = models.pendulum(-0.005)
+        sols = spectra._pendulum_solutions(mdl, 40)[0]
+        qs = np.linspace(0.0, np.pi, spectra.SGN_QUADRATURE_POINTS)
+        tracemalloc.start()
+        try:
+            table = spectra.eigenfunction_grid(mdl, np.arange(40), qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        basis = qs.size * max(len(s.coeffs) for s in sols[:40]) * 8
+        assert peak <= basis + table.nbytes
 
     def test_one_solve_per_model(self, counted_mathieu):
         mdl = models.pendulum(-0.005)
