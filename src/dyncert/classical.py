@@ -368,13 +368,14 @@ def classical_score_oracle(model, window, tau, n_samples, seed,
     pendulum and Morse. A state scores the mean of pos(q) at t = 0, tau/3 and
     2 tau/3 on its exact trajectory: each batch's flow fills one (3, n) array
     held by the call (concurrent calls share none), read in one pass as int8
-    half-counts 2 pos(q). Deterministic given *seed*, a Philox key."""
+    half-counts 2 pos(q). Deterministic given *seed*, which seeds an SFC64
+    stream through numpy's SeedSequence."""
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0)
     check_integer("batch_size", batch_size, 1)
     if not isfinite(tau):
         raise DomainError(f"probing ratio {tau} is not finite")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.SFC64(seed))
     rejection = model.kind in (models.PENDULUM, models.MORSE)
     draw = (_rejection_sampler if rejection else _direct_sampler)(
         model, window, rng, [tau / 3.0, 2.0 * tau / 3.0])

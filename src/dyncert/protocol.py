@@ -137,7 +137,7 @@ def _top_pairs(slc, taus):
 def _dense_top_pairs(slc, taus):
     """The pairs of :func:`_top_pairs`, unchecked, from the dense block
     whatever the slice size."""
-    rows, cols = spectra.sgn_positions(slc.model, slc.indices)
+    rows, cols = slc.positions
     d = _phase_vectors(slc.energies, taus)
     block = slc.sgn[:] * (d[:, :, rows].transpose(0, 2, 1)
                           @ d[:, :, cols].conj()) / 6.0

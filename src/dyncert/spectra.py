@@ -13,7 +13,7 @@ the Morse potential has no parity and its full matrix is held.
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi, sqrt, log, log1p, lgamma, isinf, floor, ceil
 
 import numpy as np
@@ -463,12 +463,14 @@ def sgn_matrix(model, indices, energies=None, check=True):
 @dataclass(frozen=True)
 class SpectrumSlice:
     """Levels inside a window together with their sgn(Q) matrix, held as
-    :func:`sgn_matrix` returns it."""
+    :func:`sgn_matrix` returns it, and ``positions``, the rows and columns
+    of that matrix as :func:`sgn_positions` gives them."""
 
     model: models.ModelSystem
     indices: tuple
     energies: np.ndarray
     sgn: object
+    positions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -476,7 +478,9 @@ class SpectrumSlice:
             raise DomainError("indices and energies must align")
         if np.any(np.diff(e) <= 0):
             raise DomainError("energies must be strictly increasing")
-        s, rows, cols = self.sgn, *sgn_positions(self.model, self.indices)
+        object.__setattr__(self, "positions",
+                           sgn_positions(self.model, self.indices))
+        s, (rows, cols) = self.sgn, self.positions
         if s.shape != (len(rows), len(cols)):
             raise DomainError("sgn matrix shape mismatch")
         # a parity-even block is symmetric with a zero diagonal by layout;
@@ -499,7 +503,7 @@ class SpectrumSlice:
         x = np.ascontiguousarray(x, dtype=complex).view(float)
         if not self.model.is_even_potential:
             return (self.sgn @ x).view(complex)
-        even, odd = sgn_positions(self.model, self.indices)
+        even, odd = self.positions
         y = np.empty_like(x)
         y[even] = self.sgn @ x[odd]
         y[odd] = self.sgn.T @ x[even]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from math import sqrt
 
 import numpy as np
@@ -249,6 +250,16 @@ class TestBatchedScores:
             assert abs(score - protocol.score_state(state, t)) <= 1e-15
             assert np.max(np.abs(
                 row - protocol.round_probabilities(state, t))) <= 1e-15
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1),
+                                       (2, 1, 0)])
+    def test_range_check_names_the_first_bad_value(self, order):
+        bad = np.array([np.nan, -2e-12, 1.0 + 2e-12])[list(order)]
+        values = np.insert(bad, [0, 1, 3], [0.25, 1.0, 0.0])
+        with pytest.raises(NumericalInstabilityError,
+                           match=re.escape(f"Q3 value {float(bad[0])!r} ")):
+            protocol._in_unit_range(values)
+        assert protocol._in_unit_range([]).shape == (0,)
 
     def test_one_value_out_of_range_raises(self, harmonic_slice6):
         # with an all-ones sgn block, tau = 1.35 and 0.75 still score

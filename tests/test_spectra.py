@@ -435,6 +435,23 @@ class TestSpectrumSlice:
         assert json.loads(path.read_text())["schema"] == \
             "dyncert.spectrum-slice.v2"
 
+    @pytest.mark.parametrize("mdl,n_hat,tau", [
+        (models.harmonic(), 300, None), (models.kerr(0.02), 20, None),
+        (models.pendulum(-0.02), 20, None), (models.morse(8.0), 6, None),
+        (models.infinite_well(), 30, None),
+        # the well's one-parity slice, the single level n = 2
+        (models.infinite_well(), None, 1.2)])
+    def test_positions_match_sgn_positions(self, mdl, n_hat, tau):
+        # also on a slice read back as the CLI's --cache reads it
+        slc = (protocol.truncated_slice(mdl, n_hat, check=False)
+               if tau is None
+               else spectra.spectrum_slice(mdl, energy_window(mdl, tau)))
+        data = json.loads(json.dumps(slc.to_json_dict()))
+        for s in (slc, spectra.SpectrumSlice.from_json_dict(data, mdl)):
+            ref = spectra.sgn_positions(mdl, s.indices)
+            assert len(s.positions) == 2
+            assert all(np.array_equal(a, b) for a, b in zip(s.positions, ref))
+
     def test_load_rejects_short_toeplitz_generator(self, tmp_path):
         mdl = models.harmonic()
         data = protocol.truncated_slice(mdl, 300, check=False).to_json_dict()
